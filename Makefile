@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test check race lint fuzz fuzz-seeds cover bench bench-alloc bench-batch bins serve-smoke serve-bench serve-attack serve-cluster serve-adapt bench-json bench-check
+.PHONY: all build test check race lint fuzz fuzz-seeds cover bench bench-alloc bench-prims bench-batch bins serve-smoke serve-bench serve-attack serve-cluster serve-adapt bench-json bench-check
 
 all: build test
 
@@ -72,6 +72,14 @@ bench-alloc:
 	$(GO) test -bench 'ServeRecordOp|ServeResumedTransaction' -benchmem -run '^$$' ./internal/serve/
 	$(GO) test -bench 'WireEncode|WireParse' -benchmem -run '^$$' ./internal/wire/
 	$(GO) test -bench 'GetPut' -benchmem -run '^$$' ./internal/bufpool/
+
+# bench-prims is the host-primitive speed gate: the record path's 3DES-CBC,
+# MD5, SHA-1 and HMAC-MD5 kernels timed beside their crypto/* twins in one
+# process (interleaved trials, median of the per-trial ratios), each held
+# to a relative-speed floor.  The floors and the host they were set on are
+# in EXPERIMENTS.md.
+bench-prims:
+	$(GO) run ./cmd/benchprims
 
 # bench-batch is the batched-kernel perf gate: measure the
 # BenchmarkBatchModExp1024/k={1,2,4,8} family fresh, gate ns/op and

@@ -1,29 +1,44 @@
 package descipher
 
+import "math/bits"
+
 // Hardware-model hooks: the TIE custom-instruction semantics in
 // internal/kernels model DES datapath hardware (IP/FP wiring, the combined
-// E ⊕ K → S-boxes → P round function) and reuse this package's reference
+// E ⊕ K → S-boxes → P round function) and reuse this package's cipher
 // logic so the "hardware" and the software library can never diverge.
+// IP and FP themselves live in des.go beside the block path that uses them.
 
-// IP applies the initial permutation to a 64-bit block.
-func IP(block uint64) uint64 { return permute(block, 64, initialPermutation[:]) }
+// Feistel exposes the round function f(R, K) for the hardware model.  It
+// runs the same fused round as the block path, undoing the one-bit
+// rotation the block path keeps its halves in.
+func Feistel(r uint32, subkey uint64) uint32 {
+	return bits.RotateLeft32(newRoundKey(subkey).f(bits.RotateLeft32(r, 1)), -1)
+}
 
-// FP applies the final permutation (IP⁻¹) to a 64-bit block.
-func FP(block uint64) uint64 { return permute(block, 64, finalPermutation[:]) }
-
-// Feistel exposes the round function f(R, K) for the hardware model.
-func Feistel(r uint32, subkey uint64) uint32 { return feistel(r, subkey) }
-
-// Subkeys returns the 16 expanded 48-bit round subkeys.
-func (c *Cipher) Subkeys() [16]uint64 { return c.subkeys }
+// Subkeys returns the 16 expanded 48-bit round subkeys, reassembled from
+// the per-S-box chunks the block path keeps.
+func (c *Cipher) Subkeys() [16]uint64 {
+	var out [16]uint64
+	for i, k := range c.ks {
+		for box := 0; box < 8; box++ {
+			word, shift := k.a, 24-8*(box/2)
+			if box%2 == 0 {
+				word = k.b
+			}
+			out[i] |= uint64(word>>uint(shift)&0x3f) << uint(42-6*box)
+		}
+	}
+	return out
+}
 
 // Ciphers returns the three single-DES stages of a triple cipher, in EDE
 // application order.
-func (t *TripleCipher) Ciphers() (c1, c2, c3 *Cipher) { return t.c1, t.c2, t.c3 }
+func (t *TripleCipher) Ciphers() (c1, c2, c3 *Cipher) { return &t.c[0], &t.c[1], &t.c[2] }
 
 // SPBox returns the combined S-then-P contribution of S-box `box` for a
 // 6-bit input: P(S_box(v) << 4*(7-box)).  Optimized software DES uses these
-// eight 64-entry tables to fuse substitution and permutation.
+// eight 64-entry tables to fuse substitution and permutation; the block
+// path's tables are built from it at init.
 func SPBox(box int, v byte) uint32 {
 	s := sBoxes[box][(v&0x20)>>4|v&1][v>>1&0xF]
 	return uint32(permute(uint64(s)<<uint(4*(7-box)), 32, pPermutation[:]))

@@ -183,3 +183,37 @@ func TestHMACLongKey(t *testing.T) {
 		t.Errorf("HMAC-SHA1 long key = %x", got)
 	}
 }
+
+// TestPaddingBoundaries checks every message length across the one- and
+// two-block padding boundaries (55, 56, 63, 64, ... bytes) against the
+// standard library, since finalization writes its padding in one piece.
+func TestPaddingBoundaries(t *testing.T) {
+	msg := make([]byte, 200)
+	rand.New(rand.NewSource(63)).Read(msg)
+	for n := 0; n <= len(msg); n++ {
+		if MD5Sum(msg[:n]) != stdmd5.Sum(msg[:n]) {
+			t.Fatalf("MD5 mismatch at len %d", n)
+		}
+		if SHA1Sum(msg[:n]) != stdsha1.Sum(msg[:n]) {
+			t.Fatalf("SHA1 mismatch at len %d", n)
+		}
+	}
+}
+
+// TestDigestsDoNotAllocate holds the record path's digests and keyed MAC
+// to zero allocations per message.
+func TestDigestsDoNotAllocate(t *testing.T) {
+	msg := make([]byte, 1024)
+	mac := NewHMAC(func() Hash { return NewMD5() }, []byte("record mac key"))
+	out := make([]byte, 0, MD5Size)
+	allocs := testing.AllocsPerRun(50, func() {
+		MD5Sum(msg)
+		SHA1Sum(msg)
+		mac.Reset()
+		mac.Write(msg)
+		out = mac.Sum(out[:0])
+	})
+	if allocs != 0 {
+		t.Errorf("%.1f allocs per MD5 + SHA-1 + HMAC-MD5, want 0", allocs)
+	}
+}

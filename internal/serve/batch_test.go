@@ -13,16 +13,14 @@ import (
 	"wisp/internal/rsakey"
 )
 
-// rsaBurstBehindSlowOp occupies the single shard with a long SSL
-// transaction, queues n RSA decrypts behind it (so the next drain finds
-// a same-op group — on one CPU a burst against an idle shard is served
-// task-by-task and never batches), and verifies every response.
+// rsaBurstBehindSlowOp holds the single shard with an SSL transaction,
+// queues n RSA decrypts behind it (so the next drain finds a same-op
+// group — on one CPU a burst against an idle shard is served
+// task-by-task and never batches), releases the shard and verifies every
+// response.
 func rsaBurstBehindSlowOp(t *testing.T, gw *Gateway, n int) {
 	t.Helper()
-	slow := make([]byte, 64<<10)
-	done := make(chan *Response, 1)
-	go func() { done <- gw.Submit(&Request{Op: OpSSL, Payload: slow}) }()
-	waitBusy(t, gw)
+	release, done := holdSSL(t, gw, 64<<10)
 
 	var wg sync.WaitGroup
 	resps := make([]*Response, n)
@@ -33,6 +31,8 @@ func rsaBurstBehindSlowOp(t *testing.T, gw *Gateway, n int) {
 			resps[i] = gw.Submit(&Request{Op: OpRSADecrypt, Payload: []byte(fmt.Sprintf("rsa payload %d", i))})
 		}(i)
 	}
+	waitQueued(t, gw, int64(n))
+	release()
 	wg.Wait()
 	if r := <-done; r.Status != StatusOK {
 		t.Fatalf("slow op: %s (%s)", r.Status, r.Error)

@@ -7,32 +7,85 @@ import (
 	"time"
 )
 
+// waitFor polls cond every millisecond, failing the test with what after
+// 2 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal(what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // waitBusy polls until some shard has a nonzero backlog cost (a task is
 // queued or in service), failing the test after 2 s.
 func waitBusy(t *testing.T, gw *Gateway) {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
+	waitFor(t, "no shard ever became busy", func() bool {
 		for _, sh := range gw.shards {
 			if sh.cost.Load() > 0 {
-				return
+				return true
 			}
 		}
-		time.Sleep(time.Millisecond)
+		return false
+	})
+}
+
+// waitQueued polls until at least n tasks sit in shard queues.
+func waitQueued(t *testing.T, gw *Gateway, n int64) {
+	t.Helper()
+	waitFor(t, fmt.Sprintf("fewer than %d tasks ever queued", n), func() bool { return queued(gw) >= n })
+}
+
+func queued(gw *Gateway) int64 {
+	var q int64
+	for i := range gw.shards {
+		q += gw.metrics.queueDepth[i].Load()
 	}
-	t.Fatal("no shard ever became busy")
+	return q
+}
+
+// holdSSL submits an SSL transaction of size bytes and holds the shard
+// that serves it until release is called, so work queued behind it waits
+// however fast the host runs the transaction.  It returns once the
+// transaction is in service.  The hold lets go by itself after 10 s, so a
+// test that never releases fails on its own checks instead of hanging,
+// and at the latest when the test ends.
+func holdSSL(t *testing.T, gw *Gateway, size int) (release func(), done <-chan *Response) {
+	t.Helper()
+	slow := &Request{Op: OpSSL, Payload: make([]byte, size)}
+	entered, gate := make(chan struct{}), make(chan struct{})
+	gw.beforeRun = func(req *Request) {
+		if req == slow {
+			close(entered)
+			<-gate
+		}
+	}
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+	time.AfterFunc(10*time.Second, release)
+
+	out := make(chan *Response, 1)
+	go func() { out <- gw.Submit(slow) }()
+	select {
+	case <-entered:
+	case <-time.After(2 * time.Second):
+		t.Fatal("held transaction never reached a shard")
+	}
+	return release, out
 }
 
 // TestNoHeadOfLineBlockingWhileIdle is the regression test for the
-// round-robin dispatch bug: with an expensive SSL transaction occupying
-// one shard, deadline-bearing record ops must be routed to the idle
-// shard — zero deadline sheds, zero sheds-while-idle, everything OK.
+// round-robin dispatch bug: with an SSL transaction holding one shard,
+// deadline-bearing record ops must be routed to the idle shard — zero
+// deadline sheds, zero sheds-while-idle, everything OK.
 func TestNoHeadOfLineBlockingWhileIdle(t *testing.T) {
 	gw := testGateway(t, Config{Shards: 2, Seed: 31})
-	slow := make([]byte, 64<<10)
-	done := make(chan *Response, 1)
-	go func() { done <- gw.Submit(&Request{Op: OpSSL, Payload: slow}) }()
-	waitBusy(t, gw)
+	release, done := holdSSL(t, gw, 64<<10)
 
 	const n = 12
 	var wg sync.WaitGroup
@@ -49,6 +102,7 @@ func TestNoHeadOfLineBlockingWhileIdle(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	release()
 	for i, resp := range resps {
 		if resp.Status != StatusOK {
 			t.Errorf("record %d: status %s (%s) — head-of-line blocked", i, resp.Status, resp.Error)
@@ -70,15 +124,12 @@ func TestNoHeadOfLineBlockingWhileIdle(t *testing.T) {
 }
 
 // TestWorkStealing forces the legacy round-robin policy so record ops
-// land behind a long transaction, and expects the idle shard to steal
+// land behind a held transaction, and expects the idle shard to steal
 // them; the steal counters must agree between the gateway-wide total and
 // the per-op breakdown.
 func TestWorkStealing(t *testing.T) {
 	gw := testGateway(t, Config{Shards: 2, Dispatch: DispatchRR, BatchMax: 1, Seed: 33})
-	slow := make([]byte, 128<<10)
-	done := make(chan *Response, 1)
-	go func() { done <- gw.Submit(&Request{Op: OpSSL, Payload: slow}) }()
-	waitBusy(t, gw)
+	release, done := holdSSL(t, gw, 128<<10)
 
 	const n = 8
 	var wg sync.WaitGroup
@@ -100,6 +151,7 @@ func TestWorkStealing(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	release()
 	r := <-done
 	if r.Status != StatusOK {
 		t.Fatalf("slow op: %s (%s)", r.Status, r.Error)

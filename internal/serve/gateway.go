@@ -248,6 +248,7 @@ type Gateway struct {
 	workHint chan struct{} // pings idle shards that queued work exists somewhere
 
 	draining   atomic.Bool
+	drainMu    sync.RWMutex   // orders inflight registrations before Drain's Wait
 	inflight   sync.WaitGroup // Submit calls in progress
 	workers    sync.WaitGroup
 	drainStart chan struct{} // closed when Drain begins: aborts gather waits
@@ -274,6 +275,12 @@ type Gateway struct {
 	// govView snapshots the adaptive governor's decision counters for
 	// Stats; nil when no governor is attached.
 	govView func() *GovernorView
+
+	// beforeRun, when set, is called on the serving shard's goroutine
+	// just before a scalar task runs.  Tests use it to hold a shard busy
+	// for as long as they need, independent of host speed; it must be
+	// set before the requests it should see are submitted.
+	beforeRun func(*Request)
 }
 
 // EngineConfig is the runtime-switchable part of a shard's RSA engine:
@@ -536,8 +543,9 @@ func (g *Gateway) Draining() bool { return g.draining.Load() }
 // queue: admission control sheds instead, so a load spike degrades into
 // fast rejections rather than unbounded latency.
 func (g *Gateway) Submit(req *Request) *Response {
-	g.inflight.Add(1)
-	defer g.inflight.Done()
+	if g.enter() {
+		defer g.inflight.Done()
+	}
 
 	now := time.Now()
 	om := g.metrics.op(req.Op)
@@ -588,6 +596,21 @@ func (g *Gateway) Submit(req *Request) *Response {
 	resp := g.dispatch(req, om, now)
 	g.qos.finish(cid, est, resp.Status)
 	return resp
+}
+
+// enter registers an in-flight Submit unless the gateway is draining.
+// Holding drainMu's read side makes every registration happen before
+// Drain's inflight.Wait or not at all, as sync.WaitGroup requires of an
+// Add from zero; a Submit that is not registered is shed by the draining
+// check.  Only Drain takes the write side, so Submits never contend.
+func (g *Gateway) enter() bool {
+	g.drainMu.RLock()
+	defer g.drainMu.RUnlock()
+	if g.draining.Load() {
+		return false
+	}
+	g.inflight.Add(1)
+	return true
 }
 
 // Preadmit prices one request from its envelope alone — op, client key
@@ -842,7 +865,9 @@ func (g *Gateway) noteShedWhileIdle() {
 // After Drain returns, worker shards have exited; further Submit calls
 // are shed with "gateway draining".  Safe to call more than once.
 func (g *Gateway) Drain(ctx context.Context) error {
+	g.drainMu.Lock()
 	g.draining.Store(true)
+	g.drainMu.Unlock()
 	g.drainOne.Do(func() {
 		// Wake any shard parked in a gather window: no more arrivals can
 		// come, so waiting out the window would only delay shutdown.
@@ -1188,6 +1213,9 @@ func (s *shard) serveOne(t *task, batchSize int) {
 		return
 	}
 
+	if s.g.beforeRun != nil {
+		s.g.beforeRun(t.req)
+	}
 	if err := s.run(t.req, resp); err != nil {
 		resp.Status = StatusError
 		resp.Error = err.Error()

@@ -166,7 +166,7 @@ func TestLoopbackShedding(t *testing.T) {
 		Addr:      addr,
 		Clients:   8,
 		PerClient: 4,
-		Mix:       []int{8 << 10}, // ~17 ms of 3DES per transaction: the queue must back up
+		Mix:       []int{8 << 10}, // an RSA handshake plus 8 KB of records each: the queue must back up
 		Seed:      13,
 	})
 	if err != nil {
@@ -190,16 +190,18 @@ func TestLoopbackShedding(t *testing.T) {
 	}
 }
 
-// TestDeadlineExpiry parks a short-deadline request behind a long SSL
-// transaction and expects deadline-aware rejection at dequeue.
+// TestDeadlineExpiry parks a short-deadline request behind a held SSL
+// transaction and expects deadline-aware rejection, at admission or at
+// dequeue.
 func TestDeadlineExpiry(t *testing.T) {
 	gw := testGateway(t, Config{Shards: 1, BatchMax: 1, Seed: 9})
-	slow := make([]byte, 32<<10)
-	done := make(chan *Response, 1)
-	go func() { done <- gw.Submit(&Request{Op: OpSSL, Payload: slow}) }()
-	time.Sleep(10 * time.Millisecond) // let the worker dequeue the slow op
+	release, done := holdSSL(t, gw, 32<<10)
 
-	resp := gw.Submit(&Request{Op: OpMD5, Payload: []byte("x"), DeadlineUS: 1})
+	short := make(chan *Response, 1)
+	go func() { short <- gw.Submit(&Request{Op: OpMD5, Payload: []byte("x"), DeadlineUS: 1}) }()
+	waitFor(t, "short-deadline request neither shed nor queued", func() bool { return len(short) > 0 || queued(gw) > 0 })
+	release()
+	resp := <-short
 	if resp.Status != StatusExpired && resp.Status != StatusShed {
 		t.Fatalf("status %s (%s), want expired or shed", resp.Status, resp.Error)
 	}
@@ -212,14 +214,11 @@ func TestDeadlineExpiry(t *testing.T) {
 	}
 }
 
-// TestRecordBatching queues record ops behind a long transaction and
+// TestRecordBatching queues record ops behind a held transaction and
 // expects them to be served as one same-op batch.
 func TestRecordBatching(t *testing.T) {
 	gw := testGateway(t, Config{Shards: 1, Seed: 17})
-	slow := make([]byte, 32<<10)
-	done := make(chan *Response, 1)
-	go func() { done <- gw.Submit(&Request{Op: OpSSL, Payload: slow}) }()
-	time.Sleep(10 * time.Millisecond)
+	release, done := holdSSL(t, gw, 32<<10)
 
 	const n = 8
 	var wg sync.WaitGroup
@@ -235,6 +234,8 @@ func TestRecordBatching(t *testing.T) {
 			batches[i] = resp.Batch
 		}(i)
 	}
+	waitQueued(t, gw, n)
+	release()
 	wg.Wait()
 	if r := <-done; r.Status != StatusOK {
 		t.Fatalf("slow op: %s (%s)", r.Status, r.Error)
