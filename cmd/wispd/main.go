@@ -11,7 +11,7 @@
 //	      [-batch 16] [-dispatch cost|rr] [-rsabits 512] [-record 1024]
 //	      [-seed 1] [-session-cache 4096] [-session-ttl 10m] [-pace-hz 0]
 //	      [-client-rate 0] [-client-burst 0] [-fair-limit 0] [-qos-quantum 0]
-//	      [-govern] [-govern-tick 500ms] [-govern-explore=true]
+//	      [-govern] [-govern-tick 500ms]
 //	      [-read-timeout 0] [-measured] [-metrics] [-pprof] [-addrfile PATH]
 //
 // -listen-wire opens a second listener speaking the binary wire protocol
@@ -36,20 +36,15 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"os/signal"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"wisp"
-	"wisp/internal/explore"
 	"wisp/internal/governor"
-	"wisp/internal/mpz"
 	"wisp/internal/replica"
-	"wisp/internal/rsakey"
 	"wisp/internal/serve"
 	"wisp/internal/wire"
 )
@@ -79,9 +74,8 @@ func main() {
 	peersFlag := flag.String("peers", "", "comma-separated wire addresses of ring peers for session-secret replication (@FILE reads the address from FILE at dial time; empty = replication off)")
 	replicaR := flag.Int("replica-r", 2, "session replication factor: copies of each session secret pushed to ring peers")
 	readTimeout := flag.Duration("read-timeout", 0, "max time a connection may take to deliver one full request (slow-loris defense; 0 = unbounded)")
-	govern := flag.Bool("govern", false, "run the adaptive performance governor (batch width/gather and engine re-selection from live telemetry)")
+	govern := flag.Bool("govern", false, "run the adaptive performance governor (batch width and gather window from live telemetry)")
 	governTick := flag.Duration("govern-tick", 500*time.Millisecond, "governor control period")
-	governExplore := flag.Bool("govern-explore", true, "let the governor re-select the RSA engine configuration via the macro-model explorer (requires ISS characterization in the background)")
 	measured := flag.Bool("measured", false, "derive the analytic cost model on the ISS at startup")
 	metrics := flag.Bool("metrics", false, "print the text metrics dump on shutdown")
 	pprofFlag := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ for allocation and CPU profiling")
@@ -161,26 +155,20 @@ func main() {
 	}
 
 	// Adaptive governor: a control loop over windowed /stats deltas that
-	// retunes the batch width/gather window and (with -govern-explore)
-	// re-selects the shard RSA engine as the live workload mix shifts.
+	// retunes the batch width and gather window.
 	var gov *governor.Governor
 	if *govern {
-		logf := func(format string, args ...any) {
-			fmt.Printf("wispd: governor: "+format+"\n", args...)
-		}
-		gcfg := governor.Config{
+		gov = governor.New(governor.Config{
 			Tick:     *governTick,
 			Snapshot: func() serve.Stats { return gw.Stats() },
 			Tuner:    gw,
-			Logf:     logf,
-		}
-		if *governExplore {
-			gcfg.Scorer = buildScorer(*seed, *rsaBits, logf)
-		}
-		gov = governor.New(gcfg)
+			Logf: func(format string, args ...any) {
+				fmt.Printf("wispd: governor: "+format+"\n", args...)
+			},
+		})
 		gw.SetGovernorView(gov.View)
 		go gov.Run()
-		fmt.Printf("wispd: governor on — tick %s, explore %v\n", *governTick, *governExplore)
+		fmt.Printf("wispd: governor on — tick %s\n", *governTick)
 	}
 
 	srv := serve.NewServer(gw)
@@ -269,73 +257,6 @@ func main() {
 		if *metrics {
 			fmt.Print(stats.Text())
 		}
-	}
-}
-
-// buildScorer wires the governor's re-selection path to the macro-model
-// exploration.  The ISS characterization and the first full pricing of
-// the serving space run in the background (tens of seconds of native
-// trace work); until they finish the scorer answers "warming up" and the
-// governor simply keeps ticking the width/gather controls.  Once warm,
-// every re-score is served from the explorer's memoized price cache.
-func buildScorer(seed int64, rsaBits int, logf func(string, ...any)) func(float64, serve.EngineConfig) ([]governor.Candidate, error) {
-	space := explore.ServingSpace()
-	var ex atomic.Pointer[explore.Explorer]
-	go func() {
-		p, err := wisp.New(wisp.Options{Seed: seed})
-		if err != nil {
-			logf("explorer unavailable: %v", err)
-			return
-		}
-		key, err := rsakey.GenerateKey(rand.New(rand.NewSource(seed)), rsaBits)
-		if err != nil {
-			logf("explorer unavailable: %v", err)
-			return
-		}
-		e := explore.New(p.BaseModels, key, seed)
-		// Warm the price cache for the whole serving space off the control
-		// loop, so the first real re-score is a pile of map lookups.
-		cur := engineToExplore(serve.EngineConfig{Exp: rsakey.DefaultExpConfig, CRT: rsakey.CRTGarner})
-		if _, err := e.ReScoreMix(explore.MixFingerprint{RSATimeShare: 1}, cur, space); err != nil {
-			logf("explorer unavailable: %v", err)
-			return
-		}
-		ex.Store(e)
-		logf("explorer ready (%d serving candidates priced)", len(space))
-	}()
-	return func(share float64, cur serve.EngineConfig) ([]governor.Candidate, error) {
-		e := ex.Load()
-		if e == nil {
-			return nil, nil // still characterizing
-		}
-		res, err := e.ReScoreMix(explore.MixFingerprint{RSATimeShare: share}, engineToExplore(cur), space)
-		if err != nil {
-			return nil, err
-		}
-		cands := make([]governor.Candidate, len(res))
-		for i, r := range res {
-			cands[i] = governor.Candidate{
-				Name:          r.Config.String(),
-				Engine:        exploreToEngine(r.Config),
-				DecryptCycles: r.EstCycles,
-				MixImprove:    r.MixImprove,
-			}
-		}
-		return cands, nil
-	}
-}
-
-// engineToExplore / exploreToEngine map between the gateway's runtime
-// engine configuration and the explorer's candidate coordinates.  The
-// serving space is radix-32 only, so the mapping is lossless both ways.
-func engineToExplore(ec serve.EngineConfig) explore.Config {
-	return explore.Config{ModMul: ec.Exp.Alg, Window: ec.Exp.WindowBits, CRT: ec.CRT, Radix: 32, Cache: ec.Exp.Cache}
-}
-
-func exploreToEngine(c explore.Config) serve.EngineConfig {
-	return serve.EngineConfig{
-		Exp: mpz.ExpConfig{Alg: c.ModMul, WindowBits: c.Window, Cache: c.Cache},
-		CRT: c.CRT,
 	}
 }
 

@@ -84,7 +84,7 @@ func main() {
 		fatal(err)
 	}
 
-	httpSrv := gwroute.NewServer(router)
+	httpSrv := serve.NewServer(router)
 	bound, err := httpSrv.Listen(*addr)
 	if err != nil {
 		fatal(err)

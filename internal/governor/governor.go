@@ -1,30 +1,24 @@
 // Package governor closes the loop between the serving telemetry and the
-// gateway's performance knobs.  On a fixed tick it diffs consecutive
-// /stats snapshots into a window (serve.DiffStats) and makes three kinds
-// of guarded decisions:
+// gateway's batch knobs.  On a fixed tick it diffs consecutive /stats
+// snapshots into a window (serve.DiffStats) and makes two kinds of
+// guarded decisions:
 //
 //   - batch width/gather: widen the RSA batch engine when sustained queue
 //     depth shows lanes going unused, shrink it back when the load drops,
 //     and retarget the gather window from the observed decrypt arrival
-//     rate — all behind hysteresis bands so oscillating load near a band
-//     edge never flaps the knobs;
-//
-//   - engine re-selection: feed the live workload-mix fingerprint (the
-//     fraction of serving time spent in RSA private-key work) to a scorer
-//     backed by the macro-model exploration, switch the shard engine
-//     configuration only when the analytic model predicts a real
-//     whole-mix improvement, and verify every switch with a post-switch
-//     A/B window that rolls back automatically if the measured cost does
-//     not follow the prediction;
+//     rate — all behind hysteresis bands.  The scripted band-edge unit
+//     test shows depth oscillating across one band edge moves neither
+//     knob; live runs count width reversals (a widen after a shrink or a
+//     shrink after a widen) so flapping under real load is measured, not
+//     assumed;
 //
 //   - observability: every decision is counted and exported through the
 //     gateway's /stats document (serve.GovernorView), so an adapted run
 //     is auditable after the fact.
 //
 // The control loop is deliberately side-effect free when the telemetry is
-// quiet: no RSA traffic in a window means no width, gather or engine
-// moves, and a gateway started with -govern=false never constructs a
-// Governor at all.
+// quiet: no RSA traffic in a window means no width or gather moves, and a
+// gateway started with -govern=false never constructs a Governor at all.
 package governor
 
 import (
@@ -43,20 +37,6 @@ type Tuner interface {
 	SetBatchWidth(int)
 	BatchGatherUS() int64
 	SetBatchGatherUS(int64)
-	EngineConfig() serve.EngineConfig
-	SetEngineConfig(serve.EngineConfig) error
-}
-
-// Candidate is one engine configuration the scorer priced for the
-// current mix.
-type Candidate struct {
-	Name   string // stable identity for cooldown bookkeeping (Config.String())
-	Engine serve.EngineConfig
-	// DecryptCycles is the macro-model's per-decrypt price; MixImprove is
-	// the predicted fractional whole-mix serving time saved by switching,
-	// i.e. the cycle advantage scaled by the RSA share of the mix.
-	DecryptCycles float64
-	MixImprove    float64
 }
 
 // Config parameterises the control loop.  Zero fields take the defaults
@@ -82,24 +62,9 @@ type Config struct {
 	// more arrivals need at the observed rate, capped at MaxGatherUS.
 	MaxGatherUS int64 // 3000
 
-	// Engine re-selection: switch only when the best candidate predicts
-	// at least MinImprove whole-mix improvement; then watch ABTicks
-	// windows and roll back if the measured decrypt cost exceeds the
-	// predicted cost by more than RollbackSlack (fraction of the
-	// pre-switch cost).  A rolled-back candidate sits out CooldownTicks.
-	MinImprove    float64 // 0.05
-	ABTicks       int     // 4
-	RollbackSlack float64 // 0.10
-	CooldownTicks int     // 40
-
 	// Snapshot supplies the telemetry; Tuner receives the decisions.
 	Snapshot func() serve.Stats
 	Tuner    Tuner
-
-	// Scorer prices engine candidates for the live mix.  Nil disables
-	// re-selection (width/gather control still runs); a (nil, nil) return
-	// means "still warming up, ask again next tick".
-	Scorer func(rsaTimeShare float64, cur serve.EngineConfig) ([]Candidate, error)
 
 	// Logf, when set, receives one line per decision.
 	Logf func(format string, args ...any)
@@ -130,30 +95,9 @@ func (c *Config) fillDefaults() {
 	if c.MaxGatherUS <= 0 {
 		c.MaxGatherUS = 3000
 	}
-	if c.MinImprove <= 0 {
-		c.MinImprove = 0.05
-	}
-	if c.ABTicks <= 0 {
-		c.ABTicks = 4
-	}
-	if c.RollbackSlack <= 0 {
-		c.RollbackSlack = 0.10
-	}
-	if c.CooldownTicks <= 0 {
-		c.CooldownTicks = 40
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
-}
-
-// abTrial is an in-flight post-switch verification window.
-type abTrial struct {
-	name      string
-	prev      serve.EngineConfig
-	preCostUS float64 // measured rsa-decrypt cost before the switch
-	ratio     float64 // predicted post/pre decrypt cost ratio (<1)
-	ticksLeft int
 }
 
 // Governor is the control loop.  Tick is safe to call directly for
@@ -166,18 +110,14 @@ type Governor struct {
 	widenStreak  int
 	shrinkStreak int
 	gatherStreak int
-	ab           *abTrial
-	cooldown     map[string]int
+	lastMove     int // +1 after a widen, -1 after a shrink, 0 before either
 
 	// Cross-goroutine view counters (read by View from the stats path).
-	ticks           atomic.Uint64
-	widthWidens     atomic.Uint64
-	widthShrinks    atomic.Uint64
-	gatherChanges   atomic.Uint64
-	configSwitches  atomic.Uint64
-	configConfirms  atomic.Uint64
-	configRollbacks atomic.Uint64
-	shareBits       atomic.Uint64 // float64 bits of the last mix fingerprint
+	ticks          atomic.Uint64
+	widthWidens    atomic.Uint64
+	widthShrinks   atomic.Uint64
+	widthReversals atomic.Uint64
+	gatherChanges  atomic.Uint64
 
 	stopOnce sync.Once
 	running  atomic.Bool
@@ -192,10 +132,9 @@ func New(cfg Config) *Governor {
 		panic("governor: Config.Snapshot and Config.Tuner are required")
 	}
 	return &Governor{
-		cfg:      cfg,
-		cooldown: make(map[string]int),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		cfg:  cfg,
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 }
 
@@ -227,14 +166,11 @@ func (g *Governor) Stop() {
 // View exports the decision counters for the /stats document.
 func (g *Governor) View() *serve.GovernorView {
 	return &serve.GovernorView{
-		Ticks:           g.ticks.Load(),
-		WidthWidens:     g.widthWidens.Load(),
-		WidthShrinks:    g.widthShrinks.Load(),
-		GatherChanges:   g.gatherChanges.Load(),
-		ConfigSwitches:  g.configSwitches.Load(),
-		ConfigConfirms:  g.configConfirms.Load(),
-		ConfigRollbacks: g.configRollbacks.Load(),
-		RSATimeShare:    math.Float64frombits(g.shareBits.Load()),
+		Ticks:          g.ticks.Load(),
+		WidthWidens:    g.widthWidens.Load(),
+		WidthShrinks:   g.widthShrinks.Load(),
+		WidthReversals: g.widthReversals.Load(),
+		GatherChanges:  g.gatherChanges.Load(),
 	}
 }
 
@@ -257,12 +193,8 @@ func (g *Governor) Tick() {
 	if gs := w.MeanGroupSize(); gs > pressure {
 		pressure = gs
 	}
-	share := rsaTimeShare(&w, cur.OpCostUS)
-	g.shareBits.Store(math.Float64bits(share))
-
 	g.controlWidth(&w, pressure)
 	g.controlGather(&w, gauge)
-	g.controlEngine(&cur, share)
 }
 
 func meanDepth(depths []int64) float64 {
@@ -274,29 +206,6 @@ func meanDepth(depths []int64) float64 {
 		sum += d
 	}
 	return float64(sum) / float64(len(depths))
-}
-
-// rsaTimeShare prices the window's completed work with the dispatcher's
-// per-op cost EWMAs and returns the rsa-decrypt fraction.  Decrypts
-// embedded in full handshakes are priced under the handshake op, so this
-// is a conservative (never inflated) fingerprint of private-key load.
-func rsaTimeShare(w *serve.StatsWindow, costs map[string]float64) float64 {
-	var total, rsa float64
-	for op, ow := range w.PerOp {
-		c := costs[op]
-		if c <= 0 || ow.OK == 0 {
-			continue
-		}
-		t := float64(ow.OK) * c
-		total += t
-		if op == string(serve.OpRSADecrypt) {
-			rsa += t
-		}
-	}
-	if total <= 0 {
-		return 0
-	}
-	return rsa / total
 }
 
 // controlWidth widens/shrinks the batch width on sustained demand for
@@ -337,6 +246,7 @@ func (g *Governor) controlWidth(w *serve.StatsWindow, pressure float64) {
 		}
 		g.cfg.Tuner.SetBatchWidth(next)
 		g.widthWidens.Add(1)
+		g.noteMove(+1)
 		g.widenStreak = 0
 		g.cfg.Logf("batch width %d -> %d (pressure %.1f, %.1f gatherable/window over %d windows)",
 			width, next, pressure, gatherable, g.cfg.HoldTicks)
@@ -347,10 +257,20 @@ func (g *Governor) controlWidth(w *serve.StatsWindow, pressure float64) {
 		}
 		g.cfg.Tuner.SetBatchWidth(next)
 		g.widthShrinks.Add(1)
+		g.noteMove(-1)
 		g.shrinkStreak = 0
 		g.cfg.Logf("batch width %d -> %d (pressure %.1f, %.1f gatherable/window over %d windows)",
 			width, next, pressure, gatherable, 2*g.cfg.HoldTicks)
 	}
+}
+
+// noteMove records a width move's direction and counts a reversal when
+// it opposes the previous move.
+func (g *Governor) noteMove(dir int) {
+	if g.lastMove == -dir {
+		g.widthReversals.Add(1)
+	}
+	g.lastMove = dir
 }
 
 // controlGather retargets the gather window.  The window exists to buy
@@ -392,86 +312,4 @@ func (g *Governor) controlGather(w *serve.StatsWindow, gauge float64) {
 	g.cfg.Tuner.SetBatchGatherUS(target)
 	g.gatherChanges.Add(1)
 	g.cfg.Logf("gather window %dus -> %dus (rsa rate %.1f/s, width %d)", cur, target, rate, width)
-}
-
-// controlEngine runs the re-selection path: finish an in-flight A/B
-// first, otherwise consult the scorer and maybe start one.
-func (g *Governor) controlEngine(cur *serve.Stats, share float64) {
-	for name := range g.cooldown {
-		if g.cooldown[name]--; g.cooldown[name] <= 0 {
-			delete(g.cooldown, name)
-		}
-	}
-
-	if g.ab != nil {
-		if g.ab.ticksLeft--; g.ab.ticksLeft > 0 {
-			return
-		}
-		trial := g.ab
-		g.ab = nil
-		post := cur.OpCostUS[string(serve.OpRSADecrypt)]
-		// No pre- or post-switch cost signal means no evidence either way;
-		// keep the model's choice rather than thrash.
-		if trial.preCostUS > 0 && post > 0 && post > trial.preCostUS*(trial.ratio+g.cfg.RollbackSlack) {
-			if err := g.cfg.Tuner.SetEngineConfig(trial.prev); err == nil {
-				g.configRollbacks.Add(1)
-				g.cooldown[trial.name] = g.cfg.CooldownTicks
-				g.cfg.Logf("engine %s rolled back to %s (decrypt cost %.0fus, predicted <= %.0fus)",
-					trial.name, trial.prev, post, trial.preCostUS*trial.ratio)
-			}
-			return
-		}
-		g.configConfirms.Add(1)
-		g.cfg.Logf("engine %s confirmed (decrypt cost %.0fus -> %.0fus)", trial.name, trial.preCostUS, post)
-		return
-	}
-
-	if g.cfg.Scorer == nil {
-		return
-	}
-	curCfg := g.cfg.Tuner.EngineConfig()
-	cands, err := g.cfg.Scorer(share, curCfg)
-	if err != nil {
-		g.cfg.Logf("scorer: %v", err)
-		return
-	}
-	if cands == nil { // warming up
-		return
-	}
-	var best *Candidate
-	for i := range cands {
-		c := &cands[i]
-		if c.Engine == curCfg || g.cooldown[c.Name] > 0 {
-			continue
-		}
-		if best == nil || c.MixImprove > best.MixImprove {
-			best = c
-		}
-	}
-	if best == nil || best.MixImprove < g.cfg.MinImprove {
-		return
-	}
-	if err := g.cfg.Tuner.SetEngineConfig(best.Engine); err != nil {
-		g.cfg.Logf("engine switch to %s rejected: %v", best.Name, err)
-		return
-	}
-	// Predicted post/pre decrypt cost ratio, recovered from the mix-level
-	// improvement: MixImprove = share * (1 - ratio).
-	ratio := 1.0
-	if share > 0 {
-		ratio = 1 - best.MixImprove/share
-		if ratio < 0 {
-			ratio = 0
-		}
-	}
-	g.ab = &abTrial{
-		name:      best.Name,
-		prev:      curCfg,
-		preCostUS: cur.OpCostUS[string(serve.OpRSADecrypt)],
-		ratio:     ratio,
-		ticksLeft: g.cfg.ABTicks,
-	}
-	g.configSwitches.Add(1)
-	g.cfg.Logf("engine %s -> %s (predicted mix improvement %.1f%% at rsa share %.2f; A/B %d ticks)",
-		curCfg, best.Name, best.MixImprove*100, share, g.cfg.ABTicks)
 }

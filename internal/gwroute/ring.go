@@ -5,8 +5,8 @@
 // spreads fresh handshakes by backlog cost, and per-node health tracking
 // ejects failing backends and reroutes around them.
 //
-// The router implements both serving surfaces the single-node gateway
-// has — wire.Handler for the binary protocol and an HTTP front end — so
+// The router implements serve.Handler, the surface the single-node
+// gateway exposes, so the same wire.Server and serve.Server front both:
 // a load generator pointed at wispgw speaks exactly the protocol it
 // would speak to one wispd.
 package gwroute

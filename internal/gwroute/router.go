@@ -1,6 +1,7 @@
 package gwroute
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -232,8 +233,8 @@ func (n *node) available(now int64, maxInflight int64) bool {
 }
 
 // Router routes requests over a set of wispd backends.  It implements
-// wire.Handler, so cmd/wispgw fronts it with the same wire.Server that
-// fronts a single gateway.
+// serve.Handler, so cmd/wispgw fronts it with the same wire.Server and
+// serve.Server that front a single gateway.
 type Router struct {
 	cfg   Config
 	nodes []*node
@@ -305,8 +306,13 @@ func NewRouter(cfg Config) (*Router, error) {
 
 // Drain marks the router draining: new requests shed with reason
 // "draining" exactly like a draining gateway, so clients and health
-// checks see the same shutdown protocol cluster-wide.
-func (r *Router) Drain() { r.draining.Store(true) }
+// checks see the same shutdown protocol cluster-wide.  In-flight requests
+// finish on their backends; the front end's own shutdown waits for them,
+// so Drain returns at once.
+func (r *Router) Drain(context.Context) error {
+	r.draining.Store(true)
+	return nil
+}
 
 // Draining reports whether Drain was called.
 func (r *Router) Draining() bool { return r.draining.Load() }
@@ -545,7 +551,7 @@ func (r *Router) noteFailure(n *node) {
 	}
 }
 
-// --- wire.Handler ---
+// --- serve.Handler ---
 
 // Preadmit passes everything through unpriced: per-client QoS runs on the
 // backends, which see the request's full envelope again.  A draining
@@ -580,6 +586,6 @@ func (r *Router) BacklogUS() int64 {
 	return int64(total)
 }
 
-// NoteRejectedDecode counts one malformed frame refused by the wire
-// front end.
+// NoteRejectedDecode counts one malformed request refused at decode by
+// the wire or HTTP front end.
 func (r *Router) NoteRejectedDecode() { r.rejectedDecode.Add(1) }

@@ -13,8 +13,9 @@ import (
 	"wisp/internal/wire"
 )
 
-// The router must front the same wire listener a single gateway does.
-var _ wire.Handler = (*Router)(nil)
+// The router must fit the same front ends (wire and HTTP) a single
+// gateway does.
+var _ serve.Handler = (*Router)(nil)
 
 // stubBackend is an in-process serve.Transport with scriptable failure
 // and a fixed piggybacked load figure.
@@ -266,7 +267,7 @@ func TestRouterExhaustedSheds(t *testing.T) {
 // protocol a draining gateway uses.
 func TestRouterDrainSheds(t *testing.T) {
 	r, _ := stubCluster(t, 2, Config{})
-	r.Drain()
+	r.Drain(context.Background())
 	if !r.Draining() {
 		t.Fatal("Draining() false after Drain")
 	}

@@ -129,10 +129,14 @@ func (r *Router) Stats() *RouterStats {
 	return s
 }
 
-// StatsJSON renders the snapshot for wire stats frames (wire.Handler).
+// StatsJSON renders the snapshot for wire stats frames and HTTP /stats
+// (serve.Handler).
 func (r *Router) StatsJSON() ([]byte, error) {
 	return json.Marshal(r.Stats())
 }
+
+// StatsText renders the snapshot as the wispgw_* text dump.
+func (r *Router) StatsText() string { return r.Stats().Text() }
 
 // Text renders the snapshot as a wispgw_* metrics dump, the same
 // line-per-counter shape serve.Stats.Text uses with wispd_*.  Aggregate

@@ -186,7 +186,7 @@ func TestThrottleShedReason(t *testing.T) {
 	if throttled.Shard != -1 {
 		t.Fatalf("throttled request reached shard %d", throttled.Shard)
 	}
-	if gw.Metrics().Snapshot(1).ShedByReason["throttle"] == 0 {
+	if gw.Stats().ShedByReason["throttle"] == 0 {
 		t.Fatal("throttle shed not counted in metrics")
 	}
 }

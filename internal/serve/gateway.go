@@ -262,13 +262,6 @@ type Gateway struct {
 	batchWidth    atomic.Int64
 	batchGatherUS atomic.Int64
 
-	// engCfg is the desired RSA engine configuration; engGen bumps on
-	// every change and each shard rebuilds its engine at the next safe
-	// point in its own serving loop (the engine is shard-goroutine-owned).
-	engMu  sync.Mutex
-	engCfg EngineConfig
-	engGen atomic.Uint64
-
 	// replView snapshots the replication layer's counters for Stats; nil
 	// when no replication is wired (SetSessionReplication never called).
 	replView func() *ReplicationView
@@ -281,34 +274,6 @@ type Gateway struct {
 	// for as long as they need, independent of host speed; it must be
 	// set before the requests it should see are submitted.
 	beforeRun func(*Request)
-}
-
-// EngineConfig is the runtime-switchable part of a shard's RSA engine:
-// the modular-exponentiation algorithm point and the CRT mode.  It is
-// the serving-side projection of an explore.Config (radix is pinned to
-// the native 32 — radix 16 exists only as an analytic trace transform).
-type EngineConfig struct {
-	Exp mpz.ExpConfig
-	CRT rsakey.CRTMode
-}
-
-// String renders the configuration the way the exploration engine names
-// its candidates ("montgomery/w4/garner/cache-reducer").
-func (ec EngineConfig) String() string {
-	return fmt.Sprintf("%s/w%d/%s/%s", ec.Exp.Alg, ec.Exp.WindowBits, ec.CRT, ec.Exp.Cache)
-}
-
-// Validate reports whether the configuration can actually build engines.
-func (ec EngineConfig) Validate() error {
-	if err := ec.Exp.Validate(); err != nil {
-		return err
-	}
-	for _, m := range rsakey.CRTModes {
-		if ec.CRT == m {
-			return nil
-		}
-	}
-	return fmt.Errorf("serve: unknown CRT mode %d", ec.CRT)
 }
 
 // NewGateway builds and starts a gateway: one RSA key, `Shards` worker
@@ -340,7 +305,6 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	}
 	g.batchWidth.Store(int64(c.BatchWidth))
 	g.batchGatherUS.Store(c.BatchGatherUS)
-	g.engCfg = EngineConfig{Exp: rsakey.DefaultExpConfig, CRT: rsakey.CRTGarner}
 	if c.SessionCap > 0 {
 		g.sessions = ssl.NewSessionCache(c.SessionCap, c.SessionTTL)
 	}
@@ -364,9 +328,6 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	}
 	return g, nil
 }
-
-// Metrics returns the gateway's observability core.
-func (g *Gateway) Metrics() *Metrics { return g.metrics }
 
 // SetSessionReplication wires the session-secret replication layer into
 // the gateway's session cache: onStore observes every full-handshake
@@ -431,7 +392,6 @@ func (g *Gateway) Stats() Stats {
 	}
 	s.BatchWidth = g.BatchWidth()
 	s.BatchGatherUS = g.BatchGatherUS()
-	s.EngineConfig = g.EngineConfig().String()
 	if g.qos != nil {
 		s.QoS = g.qos.view()
 	}
@@ -480,35 +440,6 @@ func (g *Gateway) SetBatchGatherUS(us int64) {
 	g.batchGatherUS.Store(us)
 }
 
-// EngineConfig returns the desired RSA engine configuration (shards
-// converge to it at their next serving cycle).
-func (g *Gateway) EngineConfig() EngineConfig {
-	g.engMu.Lock()
-	defer g.engMu.Unlock()
-	return g.engCfg
-}
-
-// SetEngineConfig requests every shard rebuild its RSA engine at the
-// given configuration.  The swap is asynchronous and per-shard: each
-// worker applies it at the top of its next serving cycle, on its own
-// goroutine, so no lock is ever taken on the decrypt path.  The switch
-// cost is a cold precompute cache (reducer constants and CRT
-// exponentiators re-derive on first use) — the governor's A/B window is
-// what keeps that honest.
-func (g *Gateway) SetEngineConfig(ec EngineConfig) error {
-	if err := ec.Validate(); err != nil {
-		return err
-	}
-	g.engMu.Lock()
-	changed := ec != g.engCfg
-	g.engCfg = ec
-	g.engMu.Unlock()
-	if changed {
-		g.engGen.Add(1)
-	}
-	return nil
-}
-
 // SetGovernorView wires an adaptive governor's counter snapshot into
 // Stats (mirrors SetSessionReplication's view hook).
 func (g *Gateway) SetGovernorView(view func() *GovernorView) { g.govView = view }
@@ -525,10 +456,13 @@ func (g *Gateway) BacklogUS() int64 {
 }
 
 // StatsJSON renders the stats snapshot as JSON (the wire-protocol stats
-// frame payload; the HTTP front end encodes the same document).
+// frame payload and the HTTP /stats document).
 func (g *Gateway) StatsJSON() ([]byte, error) {
 	return json.Marshal(g.Stats())
 }
+
+// StatsText renders the stats snapshot as the wispd_* text dump.
+func (g *Gateway) StatsText() string { return g.Stats().Text() }
 
 // NoteRejectedDecode forwards a front-end decode rejection into the
 // metrics core, so the HTTP and binary wire listeners count hardened-decode
@@ -970,10 +904,6 @@ type shard struct {
 	ctx *mpz.Ctx
 	env *shardEnv
 
-	// engGen is the gateway engine-config generation this shard has
-	// applied; only the shard's own goroutine reads or writes it.
-	engGen uint64
-
 	// cost is the estimated µs of work this shard is committed to:
 	// every queued task's admission estimate plus the task currently in
 	// service.  Charged at enqueue, released when the task completes, so
@@ -1147,7 +1077,6 @@ func (s *shard) collect(first *task) []*task {
 // within each group) and serves each group; compatible record-layer ops
 // thus share one pass over the shard's session machinery.
 func (s *shard) serveBatch(batch []*task) {
-	s.applyEngineConfig()
 	width, gather := s.g.BatchWidth(), s.g.BatchGatherUS()
 	var order []Op
 	groups := make(map[Op][]*task)
@@ -1175,27 +1104,6 @@ func (s *shard) serveBatch(batch []*task) {
 			s.serveOne(t, len(group))
 		}
 	}
-}
-
-// applyEngineConfig converges this shard's RSA engine on the gateway's
-// desired configuration.  Called at the top of every serving cycle on
-// the shard's own goroutine — the engine (and the session-cache decrypt
-// hook, which closes over the env pointer) is goroutine-owned, so the
-// swap needs no lock beyond reading the desired config.  The steady
-// state is one atomic load and a branch.
-func (s *shard) applyEngineConfig() {
-	gen := s.g.engGen.Load()
-	if gen == s.engGen {
-		return
-	}
-	ec := s.g.EngineConfig()
-	eng, err := rsakey.NewEngine(s.ctx, ec.Exp, ec.CRT, s.g.cfg.PrecomputeKeys, 0)
-	if err == nil {
-		s.env.engine = eng
-	}
-	// SetEngineConfig validated ec, so err is impossible; marking the
-	// generation applied either way prevents a rebuild loop.
-	s.engGen = gen
 }
 
 // serveOne executes one task (deadline check, op dispatch, reply) and

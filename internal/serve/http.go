@@ -10,21 +10,53 @@ import (
 	"time"
 )
 
-// Server exposes a Gateway over HTTP:
+// Handler is the serving surface the front ends drive: the HTTP Server
+// here and the binary wire listener (internal/wire).  *Gateway implements
+// it for a single node; internal/gwroute's Router implements it for a
+// routing tier, so one front end serves both.
+type Handler interface {
+	// Preadmit prices a request from its envelope (op, client identity,
+	// payload size) before the payload is read; a non-nil response is the
+	// shed to answer with, and the payload is discarded.
+	Preadmit(op Op, clientKey string, payloadBytes int) (int64, *Response)
+	// CancelPreadmit backs out a successful Preadmit whose payload failed
+	// to materialize.
+	CancelPreadmit(clientKey string)
+	// Submit serves one request, blocking until the response is ready.
+	Submit(req *Request) *Response
+	// BacklogUS is the node's total backlog-cost estimate, piggybacked on
+	// every wire response and pong for routing tiers.
+	BacklogUS() int64
+	// StatsJSON renders the stats snapshot (wire stats frames, /stats).
+	StatsJSON() ([]byte, error)
+	// StatsText renders the stats snapshot as a text metrics dump
+	// (/stats?format=text).
+	StatsText() string
+	// NoteRejectedDecode counts one malformed request refused at decode.
+	NoteRejectedDecode()
+	// Draining reports whether Drain has begun (/healthz answers 503).
+	Draining() bool
+	// Drain stops admission on shutdown: new requests shed with reason
+	// "draining".  It returns once the handler's queued work is done or
+	// ctx expires.
+	Drain(ctx context.Context) error
+}
+
+// Server exposes a Handler over HTTP:
 //
 //	POST /v1/offload  — one Request in, one Response out (JSON)
 //	GET  /stats       — metrics snapshot (JSON; ?format=text for a dump)
 //	GET  /healthz     — "ok" while serving, 503 "draining" during drain
 type Server struct {
-	gw   *Gateway
+	h    Handler
 	mux  *http.ServeMux
 	http *http.Server
 	ln   net.Listener
 }
 
-// NewServer wraps a gateway with the HTTP front end.
-func NewServer(gw *Gateway) *Server {
-	s := &Server{gw: gw}
+// NewServer wraps a handler with the HTTP front end.
+func NewServer(h Handler) *Server {
+	s := &Server{h: h}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/offload", s.handleOffload)
 	mux.HandleFunc("GET /stats", s.handleStats)
@@ -88,10 +120,10 @@ func (s *Server) Serve() error {
 	return nil
 }
 
-// Shutdown drains the gateway (in-flight and queued requests finish,
+// Shutdown drains the handler (in-flight and queued requests finish,
 // new ones are shed) and then closes the HTTP server.
 func (s *Server) Shutdown(ctx context.Context) error {
-	drainErr := s.gw.Drain(ctx)
+	drainErr := s.h.Drain(ctx)
 	httpErr := s.http.Shutdown(ctx)
 	if drainErr != nil {
 		return drainErr
@@ -108,11 +140,11 @@ func (s *Server) handleOffload(w http.ResponseWriter, r *http.Request) {
 	// answered from the envelope, before its payload is materialized.
 	env, err := DecodeEnvelope(http.MaxBytesReader(w, r.Body, MaxWireBytes))
 	if err != nil {
-		s.gw.Metrics().NoteRejectedDecode()
+		s.h.NoteRejectedDecode()
 		writeJSON(w, http.StatusBadRequest, decodeErrorResponse(err))
 		return
 	}
-	est, shed := s.gw.Preadmit(env.Op(), env.ClientKey(), env.PayloadBytes())
+	est, shed := s.h.Preadmit(env.Op(), env.ClientKey(), env.PayloadBytes())
 	if shed != nil {
 		writeJSON(w, http.StatusServiceUnavailable, shed)
 		return
@@ -120,14 +152,14 @@ func (s *Server) handleOffload(w http.ResponseWriter, r *http.Request) {
 	req, err := env.Materialize()
 	if err != nil {
 		if est > 0 {
-			s.gw.CancelPreadmit(env.ClientKey())
+			s.h.CancelPreadmit(env.ClientKey())
 		}
-		s.gw.Metrics().NoteRejectedDecode()
+		s.h.NoteRejectedDecode()
 		writeJSON(w, http.StatusBadRequest, decodeErrorResponse(err))
 		return
 	}
 	req.SetPreadmitted(est)
-	resp := s.gw.Submit(req)
+	resp := s.h.Submit(req)
 	ReleaseRequest(req)
 	code := http.StatusOK
 	switch resp.Status {
@@ -142,17 +174,22 @@ func (s *Server) handleOffload(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	stats := s.gw.Stats()
 	if r.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, stats.Text())
+		fmt.Fprint(w, s.h.StatsText())
 		return
 	}
-	writeJSON(w, http.StatusOK, stats)
+	body, err := s.h.StatsJSON()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(append(body, '\n'))
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	if s.gw.Draining() {
+	if s.h.Draining() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}

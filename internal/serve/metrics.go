@@ -238,11 +238,9 @@ type Stats struct {
 
 	// BatchWidth/BatchGatherUS are the *live* values of the two batch
 	// knobs (they start at the flag values and move only under an
-	// adaptive governor); EngineConfig names the RSA engine configuration
-	// shards are currently converged on.
-	BatchWidth    int    `json:"batch_width,omitempty"`
-	BatchGatherUS int64  `json:"batch_gather_us,omitempty"`
-	EngineConfig  string `json:"engine_config,omitempty"`
+	// adaptive governor).
+	BatchWidth    int   `json:"batch_width,omitempty"`
+	BatchGatherUS int64 `json:"batch_gather_us,omitempty"`
 
 	// Governor exposes the adaptive governor's decision counters.  Nil
 	// when no governor is attached (wispd -govern=false).
@@ -278,20 +276,14 @@ type Stats struct {
 // import serve without a cycle — the same layering as ReplicationView).
 type GovernorView struct {
 	Ticks uint64 `json:"ticks"`
-	// WidthWidens/WidthShrinks count batch-width moves; GatherChanges
-	// counts gather-window retargets.
-	WidthWidens   uint64 `json:"width_widens"`
-	WidthShrinks  uint64 `json:"width_shrinks"`
-	GatherChanges uint64 `json:"gather_changes"`
-	// ConfigSwitches counts engine re-selections applied; each then either
-	// survives its A/B verification window (ConfigConfirms) or is rolled
-	// back (ConfigRollbacks).
-	ConfigSwitches  uint64 `json:"config_switches"`
-	ConfigConfirms  uint64 `json:"config_confirms"`
-	ConfigRollbacks uint64 `json:"config_rollbacks"`
-	// RSATimeShare is the last observed fraction of serving time spent in
-	// rsa-decrypt work — the live mix fingerprint fed to the explorer.
-	RSATimeShare float64 `json:"rsa_time_share"`
+	// WidthWidens/WidthShrinks count batch-width moves; WidthReversals
+	// counts the moves that opposed the previous one (a widen after a
+	// shrink or a shrink after a widen) — the measured flap count.
+	// GatherChanges counts gather-window retargets.
+	WidthWidens    uint64 `json:"width_widens"`
+	WidthShrinks   uint64 `json:"width_shrinks"`
+	WidthReversals uint64 `json:"width_reversals"`
+	GatherChanges  uint64 `json:"gather_changes"`
 }
 
 // ReplicationView is the exported snapshot of the session-secret
@@ -435,18 +427,12 @@ func (s Stats) Text() string {
 		fmt.Fprintf(&b, "wispd_batch_width %d\n", s.BatchWidth)
 		fmt.Fprintf(&b, "wispd_batch_gather_us %d\n", s.BatchGatherUS)
 	}
-	if s.EngineConfig != "" {
-		fmt.Fprintf(&b, "wispd_engine_config{config=%q} 1\n", s.EngineConfig)
-	}
 	if gv := s.Governor; gv != nil {
 		fmt.Fprintf(&b, "wispd_governor_ticks_total %d\n", gv.Ticks)
 		fmt.Fprintf(&b, "wispd_governor_width_widen_total %d\n", gv.WidthWidens)
 		fmt.Fprintf(&b, "wispd_governor_width_shrink_total %d\n", gv.WidthShrinks)
+		fmt.Fprintf(&b, "wispd_governor_width_reversals_total %d\n", gv.WidthReversals)
 		fmt.Fprintf(&b, "wispd_governor_gather_changes_total %d\n", gv.GatherChanges)
-		fmt.Fprintf(&b, "wispd_governor_config_switch_total %d\n", gv.ConfigSwitches)
-		fmt.Fprintf(&b, "wispd_governor_config_confirm_total %d\n", gv.ConfigConfirms)
-		fmt.Fprintf(&b, "wispd_governor_config_rollback_total %d\n", gv.ConfigRollbacks)
-		fmt.Fprintf(&b, "wispd_governor_rsa_time_share %.4f\n", gv.RSATimeShare)
 	}
 	writeCache := func(name string, v *CacheStatsView) {
 		if v == nil {

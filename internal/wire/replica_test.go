@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -114,7 +115,7 @@ func TestReplicateEncodeBounds(t *testing.T) {
 	}
 }
 
-// replicaStub implements Handler + ReplicaHandler over a plain map.
+// replicaStub implements serve.Handler + ReplicaHandler over a plain map.
 type replicaStub struct {
 	mu    sync.Mutex
 	store map[string][]byte
@@ -129,9 +130,12 @@ func (s *replicaStub) CancelPreadmit(clientKey string) {}
 func (s *replicaStub) Submit(req *serve.Request) *serve.Response {
 	return &serve.Response{ID: req.ID, Op: req.Op, Status: serve.StatusOK}
 }
-func (s *replicaStub) BacklogUS() int64           { return 0 }
-func (s *replicaStub) StatsJSON() ([]byte, error) { return []byte("{}"), nil }
-func (s *replicaStub) NoteRejectedDecode()        {}
+func (s *replicaStub) BacklogUS() int64                { return 0 }
+func (s *replicaStub) StatsJSON() ([]byte, error)      { return []byte("{}"), nil }
+func (s *replicaStub) StatsText() string               { return "" }
+func (s *replicaStub) NoteRejectedDecode()             {}
+func (s *replicaStub) Draining() bool                  { return false }
+func (s *replicaStub) Drain(ctx context.Context) error { return nil }
 
 func (s *replicaStub) ReplicaStore(id, master []byte) {
 	s.mu.Lock()
@@ -153,7 +157,7 @@ func (s *replicaStub) get(id string) ([]byte, bool) {
 	return m, ok
 }
 
-func startHandler(t *testing.T, h Handler) string {
+func startHandler(t *testing.T, h serve.Handler) string {
 	t.Helper()
 	srv := NewServer(h, ServerConfig{})
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -212,25 +216,16 @@ func TestReplicationOverWire(t *testing.T) {
 	}
 }
 
-// plainHandler is a Handler WITHOUT the replica surface: it forwards to
-// a replicaStub without embedding it, so the server's ReplicaHandler
-// type assertion does not match.
-type plainHandler struct{ inner *replicaStub }
-
-func (p plainHandler) Preadmit(op serve.Op, clientKey string, payloadBytes int) (int64, *serve.Response) {
-	return p.inner.Preadmit(op, clientKey, payloadBytes)
-}
-func (p plainHandler) CancelPreadmit(clientKey string)           { p.inner.CancelPreadmit(clientKey) }
-func (p plainHandler) Submit(req *serve.Request) *serve.Response { return p.inner.Submit(req) }
-func (p plainHandler) BacklogUS() int64                          { return p.inner.BacklogUS() }
-func (p plainHandler) StatsJSON() ([]byte, error)                { return p.inner.StatsJSON() }
-func (p plainHandler) NoteRejectedDecode()                       { p.inner.NoteRejectedDecode() }
+// plainHandler is a serve.Handler WITHOUT the replica surface: it embeds
+// a replicaStub as the interface, which promotes only serve.Handler's
+// methods, so the server's ReplicaHandler type assertion does not match.
+type plainHandler struct{ serve.Handler }
 
 // TestReplicationDegradesWithoutHandler: a listener whose handler lacks
 // ReplicaHandler discards pushes and answers fetches not-found — the
 // connection survives both.
 func TestReplicationDegradesWithoutHandler(t *testing.T) {
-	addr := startHandler(t, plainHandler{inner: newReplicaStub()})
+	addr := startHandler(t, plainHandler{newReplicaStub()})
 	tr, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)

@@ -13,31 +13,9 @@ import (
 	"wisp/internal/serve"
 )
 
-// Handler is the serving surface a wire listener drives.  *serve.Gateway
-// implements it directly; internal/gwroute's Router implements it too, so
-// the same listener fronts a single node and a routing tier.
-type Handler interface {
-	// Preadmit prices a request from its envelope (op, client identity,
-	// payload size) before the payload is read off the socket; a non-nil
-	// response is the shed to answer with, and the payload is discarded.
-	Preadmit(op serve.Op, clientKey string, payloadBytes int) (int64, *serve.Response)
-	// CancelPreadmit backs out a successful Preadmit whose payload failed
-	// to materialize.
-	CancelPreadmit(clientKey string)
-	// Submit serves one request, blocking until the response is ready.
-	Submit(req *serve.Request) *serve.Response
-	// BacklogUS is the node's total backlog-cost estimate, piggybacked on
-	// every response and pong for routing tiers.
-	BacklogUS() int64
-	// StatsJSON renders the stats snapshot answered to stats frames.
-	StatsJSON() ([]byte, error)
-	// NoteRejectedDecode counts one malformed frame refused at decode.
-	NoteRejectedDecode()
-}
-
-// ReplicaHandler is the optional session-replication surface a Handler
-// may additionally implement (the gateway does; a routing tier does
-// not).  The server type-asserts for it when a Replicate or Fetch frame
+// ReplicaHandler is the optional session-replication surface a
+// serve.Handler may additionally implement (the gateway does; a routing
+// tier does not).  The server type-asserts for it when a Replicate or Fetch frame
 // arrives; a handler without it degrades gracefully — pushes are
 // discarded and fetches answer not-found, both indistinguishable from a
 // replica-cache miss.
@@ -68,9 +46,9 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	return c
 }
 
-// Server accepts wire-protocol connections and drives a Handler.
+// Server accepts wire-protocol connections and drives a serve.Handler.
 type Server struct {
-	h   Handler
+	h   serve.Handler
 	cfg ServerConfig
 	ln  net.Listener
 
@@ -82,7 +60,7 @@ type Server struct {
 }
 
 // NewServer wraps a handler with the binary-protocol front end.
-func NewServer(h Handler, cfg ServerConfig) *Server {
+func NewServer(h serve.Handler, cfg ServerConfig) *Server {
 	return &Server{h: h, cfg: cfg.withDefaults(), conns: make(map[net.Conn]struct{})}
 }
 
@@ -128,7 +106,7 @@ func (s *Server) Serve() error {
 }
 
 // Close stops accepting, closes every live connection and waits for their
-// handlers to return.  Callers drain the Handler first (e.g.
+// handlers to return.  Callers drain the handler first (e.g.
 // Gateway.Drain) so in-flight requests answer before the sockets drop.
 func (s *Server) Close() error {
 	s.mu.Lock()

@@ -16,13 +16,12 @@
 # runs finish with zero digest mismatches (wispload exits non-zero on
 # any), and benchcmp proves the governed run recovers >=15% throughput
 # over the mis-sized static run.  The governed record is written to
-# $BENCH_JSON (default BENCH_adapt.json) for CI artifacts.
+# $BENCH_JSON (default BENCH_adapt.json) for CI artifacts.  The governed
+# run's width-reversal count (a widen after a shrink, or a shrink after a
+# widen) is printed for the record; no bound is asserted on it yet.
 #
-# The governor runs with -govern-explore=false here: engine re-selection
-# needs a background ISS characterization that takes longer than this
-# gate's whole budget, and the width/gather loop is what the A/B is
-# exercising.  A fast -govern-tick makes adaptation land within the
-# burst's first fraction of a second.
+# A fast -govern-tick makes adaptation land within the burst's first
+# fraction of a second.
 set -eu
 
 BIN="${BIN:-bin}"
@@ -88,7 +87,7 @@ drain_wispd wispd_static.log
 
 # ---- Run B: same daemon shape, governed ----
 boot_wispd wispd_gov.log -shards 1 -dispatch cost -seed 1 -batch-width 1 \
-    -rsabits 1024 -govern -govern-tick 25ms -govern-explore=false -metrics
+    -rsabits 1024 -govern -govern-tick 25ms -metrics
 echo "serve-adapt: governed run on $ADDR (tick 25ms)"
 run_mix load_gov.log bench_gov.json
 drain_wispd wispd_gov.log
@@ -107,6 +106,8 @@ grep -qE 'wispd_rsa_ops_batched_total [1-9]' "$TMP/wispd_gov.log" || {
     echo "serve-adapt: governed run never served through the batched engine" >&2
     exit 1
 }
+reversals="$(sed -n 's/^wispd_governor_width_reversals_total //p' "$TMP/wispd_gov.log")"
+echo "serve-adapt: governed run width reversals: ${reversals:-missing}"
 
 "$BIN/benchcmp" -baseline "$TMP/bench_static.json" -current "$TMP/bench_gov.json" \
     -assert-rps-gt -rps-factor 1.15
