@@ -7,29 +7,37 @@
 //
 // Usage:
 //
-//	wispd [-addr 127.0.0.1:9311] [-listen-wire ""] [-shards N] [-queue 64]
-//	      [-batch 16] [-dispatch cost|rr] [-rsabits 512] [-record 1024]
-//	      [-seed 1] [-session-cache 4096] [-session-ttl 10m] [-pace-hz 0]
-//	      [-client-rate 0] [-client-burst 0] [-fair-limit 0] [-qos-quantum 0]
-//	      [-govern] [-govern-tick 500ms]
-//	      [-read-timeout 0] [-measured] [-metrics] [-pprof] [-addrfile PATH]
+//	wispd [-addr 127.0.0.1:9311] [-addrfile PATH]
+//	      [-listen-wire ""] [-wire-addrfile PATH]
+//	      [-shards N] [-batch-width 4] [-batch-gather-us 0]
+//	      [-rsabits 512] [-seed 1] [-pace-hz 0]
+//	      [-client-rate 0] [-client-burst 0] [-fair-limit 0]
+//	      [-qos-quantum 0] [-max-cost 0]
+//	      [-peers ADDR,...] [-govern] [-govern-tick 500ms]
+//	      [-read-timeout 0] [-drain 30s] [-metrics] [-pprof]
 //
 // -listen-wire opens a second listener speaking the binary wire protocol
-// (internal/wire) alongside HTTP; both front the same gateway.  -pace-hz
-// enables model-paced serving: each shard stretches SSL-shaped service
-// times to the analytic cycle estimate at the given clock (188e6 = the
-// paper's 188 MHz platform), which makes multi-node scaling experiments
-// honest on hosts with fewer cores than daemons.
+// (internal/wire) alongside HTTP; both front the same gateway.
+// -batch-width caps how many queued RSA decrypts fuse into one batched
+// engine call (1 = scalar), and -batch-gather-us is how long a shard
+// waits to top an under-width batch up.
+// -pace-hz enables model-paced serving: each shard stretches SSL-shaped
+// service times to the analytic cycle estimate at the given clock
+// (188e6 = the paper's 188 MHz platform), which makes multi-node scaling
+// experiments honest on hosts with fewer cores than daemons.
 // -client-rate enables per-client QoS isolation: each ClientID's
 // estimated-cost spend (µs of predicted service time per second) is
 // metered against a token bucket, and under saturation clients are
-// fair-queued with deficit round-robin ahead of shard dispatch.
+// fair-queued with deficit round-robin ahead of shard dispatch;
+// -max-cost throttles any single request priced above the ceiling.
+// -peers replicates session secrets to ring peers so abbreviated
+// handshakes survive the loss of the node that established them.
 // -read-timeout bounds how long a connection may dribble one request
-// (the slow-loris defense).
+// (the slow-loris defense), and -drain bounds the shutdown drain.
 //
-// With -measured the daemon characterizes the platform kernels on the ISS
-// at startup (Platform.SSLCosts) and prices transactions with those
-// numbers; otherwise it uses the baked-in measured defaults.
+// Transactions are priced with the cost model baked into internal/serve
+// (serve.DefaultBaseCosts/DefaultOptCosts), which a root-package test
+// pins to a fresh Platform.SSLCosts characterization.
 package main
 
 import (
@@ -42,7 +50,6 @@ import (
 	"syscall"
 	"time"
 
-	"wisp"
 	"wisp/internal/governor"
 	"wisp/internal/replica"
 	"wisp/internal/serve"
@@ -54,17 +61,10 @@ func main() {
 	listenWire := flag.String("listen-wire", "", "binary wire-protocol listen address (empty = HTTP only; port 0 picks a free port)")
 	wireAddrFile := flag.String("wire-addrfile", "", "write the bound wire address to this file (for scripts)")
 	shards := flag.Int("shards", 0, "worker shards (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 64, "per-shard queue depth")
-	batch := flag.Int("batch", 16, "max requests drained per shard cycle")
 	batchWidth := flag.Int("batch-width", 0, "RSA ops folded into one batched engine call per drain (0 = default 4; 1 = scalar)")
 	batchGather := flag.Int64("batch-gather-us", 0, "micro-batching window in µs: how long a shard waits to top an under-width RSA batch up before serving it (0 = no wait)")
-	dispatch := flag.String("dispatch", serve.DispatchCost,
-		"admission policy: cost (power-of-two-choices over per-op backlog estimates, with work stealing) or rr (blind round-robin)")
 	rsaBits := flag.Int("rsabits", 512, "gateway handshake key size")
-	record := flag.Int("record", 1024, "default record size for SSL transactions")
 	seed := flag.Int64("seed", 1, "determinism seed for shard key material")
-	sessionCap := flag.Int("session-cache", 4096, "SSL session cache capacity (abbreviated handshakes); negative disables resumption")
-	sessionTTL := flag.Duration("session-ttl", 10*time.Minute, "SSL session cache entry lifetime")
 	paceHz := flag.Float64("pace-hz", 0, "model-paced serving clock in Hz (188e6 = one 188 MHz platform per shard; 0 = serve at host speed)")
 	clientRate := flag.Int64("client-rate", 0, "per-client QoS rate in estimated-cost µs per second (0 = QoS off)")
 	clientBurst := flag.Int64("client-burst", 0, "per-client QoS burst in estimated-cost µs (0 = 2x rate)")
@@ -72,11 +72,9 @@ func main() {
 	qosQuantum := flag.Int64("qos-quantum", 0, "DRR quantum in estimated-cost µs (0 = 10ms)")
 	maxCost := flag.Int64("max-cost", 0, "per-request estimated-cost ceiling in µs; dearer requests are throttled (0 = no cap)")
 	peersFlag := flag.String("peers", "", "comma-separated wire addresses of ring peers for session-secret replication (@FILE reads the address from FILE at dial time; empty = replication off)")
-	replicaR := flag.Int("replica-r", 2, "session replication factor: copies of each session secret pushed to ring peers")
 	readTimeout := flag.Duration("read-timeout", 0, "max time a connection may take to deliver one full request (slow-loris defense; 0 = unbounded)")
 	govern := flag.Bool("govern", false, "run the adaptive performance governor (batch width and gather window from live telemetry)")
 	governTick := flag.Duration("govern-tick", 500*time.Millisecond, "governor control period")
-	measured := flag.Bool("measured", false, "derive the analytic cost model on the ISS at startup")
 	metrics := flag.Bool("metrics", false, "print the text metrics dump on shutdown")
 	pprofFlag := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ for allocation and CPU profiling")
 	addrFile := flag.String("addrfile", "", "write the bound address to this file (for scripts)")
@@ -85,16 +83,10 @@ func main() {
 
 	cfg := serve.Config{
 		Shards:        *shards,
-		QueueDepth:    *queue,
-		BatchMax:      *batch,
 		BatchWidth:    *batchWidth,
 		BatchGatherUS: *batchGather,
 		RSABits:       *rsaBits,
-		RecordSize:    *record,
-		Dispatch:      *dispatch,
 		Seed:          *seed,
-		SessionCap:    *sessionCap,
-		SessionTTL:    *sessionTTL,
 		PaceHz:        *paceHz,
 
 		ClientRateUS:  *clientRate,
@@ -102,18 +94,6 @@ func main() {
 		FairLimitUS:   *fairLimit,
 		DRRQuantumUS:  *qosQuantum,
 		MaxCostUS:     *maxCost,
-	}
-	if *measured {
-		fmt.Println("wispd: characterizing platform kernels on the ISS...")
-		p, err := wisp.New(wisp.Options{Seed: *seed})
-		if err != nil {
-			fatal(err)
-		}
-		base, opt, err := p.SSLCosts()
-		if err != nil {
-			fatal(err)
-		}
-		cfg.BaseCosts, cfg.OptCosts = &base, &opt
 	}
 
 	gw, err := serve.NewGateway(cfg)
@@ -136,7 +116,7 @@ func main() {
 			}
 		}
 		if len(peers) > 0 {
-			rep = replica.New(replica.Config{Peers: peers, R: *replicaR, Dial: dialPeer})
+			rep = replica.New(replica.Config{Peers: peers, Dial: dialPeer})
 			view := func() *serve.ReplicationView {
 				s := rep.Stats()
 				return &serve.ReplicationView{
@@ -147,10 +127,8 @@ func main() {
 					FetchMiss:  s.FetchMiss,
 				}
 			}
-			if !gw.SetSessionReplication(rep.Offer, rep.Fetch, view) {
-				fatal(fmt.Errorf("-peers needs session resumption; do not disable -session-cache"))
-			}
-			fmt.Printf("wispd: session replication to %d peers (R=%d)\n", len(peers), *replicaR)
+			gw.SetSessionReplication(rep.Offer, rep.Fetch, view)
+			fmt.Printf("wispd: session replication to %d peers\n", len(peers))
 		}
 	}
 
@@ -187,8 +165,8 @@ func main() {
 			fatal(err)
 		}
 	}
-	fmt.Printf("wispd: listening on %s (%d shards, queue %d, batch %d, RSA-%d, dispatch %s)\n",
-		bound, gw.Config().Shards, gw.Config().QueueDepth, gw.Config().BatchMax, gw.Config().RSABits, gw.Config().Dispatch)
+	fmt.Printf("wispd: listening on %s (%d shards, queue %d, batch %d, RSA-%d)\n",
+		bound, gw.Config().Shards, gw.Config().QueueDepth, gw.Config().BatchMax, gw.Config().RSABits)
 	if qc := gw.Config(); qc.ClientRateUS > 0 {
 		fmt.Printf("wispd: QoS on — %dµs/s per client (burst %dµs), fair-queue above %dµs outstanding (quantum %dµs)\n",
 			qc.ClientRateUS, qc.ClientBurstUS, qc.FairLimitUS, qc.DRRQuantumUS)

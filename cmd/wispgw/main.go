@@ -12,10 +12,14 @@
 // Usage:
 //
 //	wispgw -backends host:p1,host:p2,... [-addr 127.0.0.1:9411]
-//	       [-listen-wire 127.0.0.1:9412] [-replicas 64] [-max-inflight 128]
-//	       [-eject-after 2] [-eject-for 2s] [-node-retries -1] [-seed 1]
-//	       [-coroute-rsa=true] [-coroute-factor 2.0]
-//	       [-metrics] [-addrfile PATH] [-wire-addrfile PATH] [-drain 30s]
+//	       [-addrfile PATH] [-listen-wire 127.0.0.1:9412]
+//	       [-wire-addrfile PATH] [-seed 1] [-drain 30s] [-metrics]
+//
+// The routing knobs run at gwroute's defaults: 64 ring replicas per
+// backend, 128 in-flight requests per backend, ejection after 2
+// consecutive transport failures for 2 s, retries over every other
+// backend, and same-key rsa-decrypt co-routing bounded at 2x the
+// cheapest alternative's cost.
 //
 // SIGINT/SIGTERM drains: new requests are refused with reason "draining"
 // while in-flight ones finish on their backends, then the process exits.
@@ -40,14 +44,7 @@ func main() {
 	backends := flag.String("backends", "", "comma-separated wispd wire addresses (required)")
 	addr := flag.String("addr", "127.0.0.1:9411", "HTTP listen address (port 0 picks a free port)")
 	listenWire := flag.String("listen-wire", "127.0.0.1:9412", "binary wire-protocol listen address (empty = HTTP only; port 0 picks a free port)")
-	replicas := flag.Int("replicas", 64, "virtual nodes per backend on the consistent-hash ring")
-	maxInflight := flag.Int64("max-inflight", 128, "max concurrently-routed requests per backend")
-	ejectAfter := flag.Int("eject-after", 2, "consecutive transport failures before a backend is ejected")
-	ejectFor := flag.Duration("eject-for", 2*time.Second, "quarantine after ejection (then half-open probing)")
-	nodeRetries := flag.Int("node-retries", -1, "max additional backends tried after a transport failure (-1 = all others)")
 	seed := flag.Int64("seed", 1, "determinism seed for power-of-two-choices sampling")
-	coRouteRSA := flag.Bool("coroute-rsa", true, "concentrate same-key non-resume rsa-decrypt traffic on one ring-chosen backend (bounded by -coroute-factor)")
-	coRouteFactor := flag.Float64("coroute-factor", 2.0, "co-routing load ceiling: spill to p2c when the preferred backend costs more than factor x the cheapest alternative")
 	metrics := flag.Bool("metrics", false, "print the wispgw_* text metrics dump on shutdown")
 	addrFile := flag.String("addrfile", "", "write the bound HTTP address to this file (for scripts)")
 	wireAddrFile := flag.String("wire-addrfile", "", "write the bound wire address to this file (for scripts)")
@@ -63,22 +60,12 @@ func main() {
 	if len(addrs) == 0 {
 		fatal(fmt.Errorf("-backends is required (comma-separated wispd wire addresses)"))
 	}
-	retries := *nodeRetries
-	if retries < 0 {
-		retries = len(addrs) - 1
-	}
 
 	router, err := gwroute.NewRouter(gwroute.Config{
-		Backends:      addrs,
-		Replicas:      *replicas,
-		MaxInflight:   *maxInflight,
-		FailThreshold: *ejectAfter,
-		EjectFor:      *ejectFor,
-		NodeRetries:   retries,
-		Seed:          *seed,
-		CoRouteRSA:    *coRouteRSA,
-		CoRouteFactor: *coRouteFactor,
-		Dial:          func(a string) (serve.Transport, error) { return wire.Dial(a) },
+		Backends:   addrs,
+		Seed:       *seed,
+		CoRouteRSA: true,
+		Dial:       func(a string) (serve.Transport, error) { return wire.Dial(a) },
 	})
 	if err != nil {
 		fatal(err)

@@ -173,8 +173,8 @@ func main() {
 				fmt.Printf("server qos: %d throttled, %d clients tracked, fair-waiting %d\n",
 					q.Throttled, len(q.Clients), q.FairWaiting)
 			}
-			fmt.Printf("server dispatch (%s): %d steals, %d redirects, %d retries, %d hedged, %d sheds-while-idle\n",
-				shownStats.Dispatch, shownStats.Steals, shownStats.Redirects,
+			fmt.Printf("server dispatch: %d steals, %d redirects, %d retries, %d hedged, %d sheds-while-idle\n",
+				shownStats.Steals, shownStats.Redirects,
 				shownStats.Retries, shownStats.Hedges, shownStats.ShedWhileIdle)
 			if ssl, ok := shownStats.PerOp["ssl"]; ok && ssl.Latency.Count > 0 {
 				fmt.Printf("server ssl latency: p50 %.0fµs  p95 %.0fµs  p99 %.0fµs (batch p50 %.1f)\n",

@@ -90,7 +90,7 @@ func (c LoadConfig) attackerCount() int {
 // land in "<op>+attack" op classes so the plain op rows of a mixed run
 // stay legit-only — that is what lets the fairness gate compare legit p99
 // across attack-free and mixed runs.
-func runAttacker(c LoadConfig, profile AttackProfile, idx int, client *Client, r *clientResult, done <-chan struct{}) {
+func runAttacker(c LoadConfig, profile AttackProfile, idx int, tr *httpTransport, r *clientResult, done <-chan struct{}) {
 	r.attack = true
 	r.perSize = make(map[int][]int64)
 	r.perOp = make(map[Op][]int64)
@@ -106,12 +106,12 @@ func runAttacker(c LoadConfig, profile AttackProfile, idx int, client *Client, r
 	switch profile {
 	case AttackFlood:
 		payload, want := attackPayload(rng, 4096)
-		attackLoop(c, done, c.AttackRTTUS, func(k int) { attackRequest(r, client, id, OpSSL, payload, want) })
+		attackLoop(c, done, c.AttackRTTUS, func(k int) { attackRequest(r, tr, id, OpSSL, payload, want) })
 	case AttackThrash:
 		// Cheap per op — the damage (and the token-bucket spend) is the
 		// sheer churn rate: every full handshake evicts someone's session.
 		payload, want := attackPayload(rng, 64)
-		attackLoop(c, done, c.AttackRTTUS, func(k int) { attackRequest(r, client, id, OpHandshake, payload, want) })
+		attackLoop(c, done, c.AttackRTTUS, func(k int) { attackRequest(r, tr, id, OpHandshake, payload, want) })
 	case AttackOversize:
 		// Maximum-size legal payload: priced at full per-byte cost by
 		// envelope admission.  Over the limit: rejected from the encoded
@@ -121,9 +121,9 @@ func runAttacker(c LoadConfig, profile AttackProfile, idx int, client *Client, r
 		over, _ := oversizeBody(rng, id, OpMD5, MaxPayload+1)
 		attackLoop(c, done, 5*c.AttackRTTUS, func(k int) {
 			if k%2 == 0 {
-				rawAttackRequest(r, client, OpAES, 256<<10, legal, legalWant)
+				rawAttackRequest(r, tr, OpAES, 256<<10, legal, legalWant)
 			} else {
-				rawAttackRequest(r, client, OpMD5, MaxPayload+1, over, nil)
+				rawAttackRequest(r, tr, OpMD5, MaxPayload+1, over, nil)
 			}
 		})
 	case AttackSlowloris:
@@ -185,18 +185,18 @@ func attackLoop(c LoadConfig, done <-chan struct{}, paceUS int64, issue func(k i
 // attackRequest issues one adversarial request with a shared precomputed
 // payload and records the outcome.  The shared result is locked: one
 // attacker runs several concurrent streams into the same clientResult.
-func attackRequest(r *clientResult, client *Client, id string, op Op, payload, want []byte) {
+func attackRequest(r *clientResult, tr *httpTransport, id string, op Op, payload, want []byte) {
 	req := &Request{Op: op, Payload: payload, ClientID: id}
 	t0 := time.Now()
-	resp, err := client.Do(req)
+	resp, err := tr.RoundTrip(req)
 	lat := time.Since(t0).Microseconds()
 	recordAttackOutcome(r, op, len(payload), want, resp, err, lat)
 }
 
 // rawAttackRequest fires one pre-marshalled frame and records the outcome.
-func rawAttackRequest(r *clientResult, client *Client, op Op, size int, body, want []byte) {
+func rawAttackRequest(r *clientResult, tr *httpTransport, op Op, size int, body, want []byte) {
 	t0 := time.Now()
-	resp, err := client.postBytes(body)
+	resp, err := tr.postBytes(body)
 	lat := time.Since(t0).Microseconds()
 	recordAttackOutcome(r, op, size, want, resp, err, lat)
 }

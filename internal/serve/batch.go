@@ -140,8 +140,8 @@ func (s *shard) runRSABatch(live []*task) error {
 	// One pacing sleep covers the whole batch: the simulated platform
 	// still pays k sequential op costs, it just overlaps them better in
 	// the fused kernel, so the wall target is k ops at the optimized rate.
-	if hz := s.g.cfg.PaceHz; hz > 0 && s.g.cfg.OptCosts.RSADecrypt > 0 {
-		target := time.Duration(float64(k) * s.g.cfg.OptCosts.RSADecrypt / hz * 1e9)
+	if hz := s.g.cfg.PaceHz; hz > 0 {
+		target := time.Duration(float64(k) * DefaultOptCosts.RSADecrypt / hz * 1e9)
 		if elapsed := time.Since(start); elapsed < target {
 			time.Sleep(target - elapsed)
 		}
@@ -157,8 +157,8 @@ func (s *shard) runRSABatch(live []*task) error {
 		} else {
 			resp.Status = StatusOK
 			resp.Result = cts[i]
-			resp.EstBaseCycles = s.g.cfg.BaseCosts.RSADecrypt
-			resp.EstOptCycles = s.g.cfg.OptCosts.RSADecrypt
+			resp.EstBaseCycles = DefaultBaseCosts.RSADecrypt
+			resp.EstOptCycles = DefaultOptCosts.RSADecrypt
 		}
 		resp.ServiceUS = perUS
 		s.observeService(t.req.Op, float64(resp.ServiceUS), len(t.req.Payload))

@@ -38,8 +38,8 @@ type RetryPolicy struct {
 }
 
 // Transport performs request/response exchanges against a serving daemon.
-// The Client's built-in HTTP+JSON path is the default; internal/wire
-// provides the binary-protocol implementation, and a cluster router
+// HTTP+JSON (NewClient) is the default; internal/wire provides the
+// binary-protocol implementation, and a cluster router
 // (internal/gwroute) fans a Transport out over many nodes.  The retry,
 // backoff and hedging machinery above the transport is shared: a Client
 // behaves identically over either protocol.
@@ -62,9 +62,7 @@ type Transport interface {
 // backoff + jitter and hedges slow deadline-bearing requests;
 // Retries/Hedges expose how often.
 type Client struct {
-	base   string
-	http   *http.Client
-	tr     Transport // nil = built-in HTTP path
+	tr     Transport
 	policy RetryPolicy
 
 	mu  sync.Mutex
@@ -74,18 +72,9 @@ type Client struct {
 	hedges  atomic.Uint64
 }
 
-// NewClient builds a client for addr ("host:port" or a full http:// URL).
-func NewClient(addr string) *Client {
-	base := addr
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	return &Client{
-		base: strings.TrimRight(base, "/"),
-		http: &http.Client{Timeout: 5 * time.Minute},
-		rng:  rand.New(rand.NewSource(1)),
-	}
-}
+// NewClient builds an HTTP+JSON client for addr ("host:port" or a full
+// http:// URL).
+func NewClient(addr string) *Client { return NewClientWith(newHTTPTransport(addr)) }
 
 // NewClientWith builds a client on an explicit transport (e.g. a
 // wire.Transport); the retry/hedge machinery is unchanged.
@@ -116,7 +105,7 @@ func (c *Client) Hedges() uint64 { return c.hedges.Load() }
 func (c *Client) Do(req *Request) (*Response, error) {
 	p := c.policy
 	if p.MaxAttempts <= 1 && p.HedgeAfter <= 0 {
-		return c.post(req)
+		return c.tr.RoundTrip(req)
 	}
 	attempts := p.MaxAttempts
 	if attempts < 1 {
@@ -175,7 +164,7 @@ func (c *Client) backoff(attempt int) time.Duration {
 // neither is OK the primary-ordered first result is returned.
 func (c *Client) doHedged(req *Request) (*Response, error) {
 	if c.policy.HedgeAfter <= 0 || req.DeadlineUS <= 0 {
-		return c.post(req)
+		return c.tr.RoundTrip(req)
 	}
 	type result struct {
 		resp *Response
@@ -183,7 +172,7 @@ func (c *Client) doHedged(req *Request) (*Response, error) {
 	}
 	ch := make(chan result, 2)
 	go func() {
-		resp, err := c.post(req)
+		resp, err := c.tr.RoundTrip(req)
 		ch <- result{resp, err}
 	}()
 	timer := time.NewTimer(c.policy.HedgeAfter)
@@ -200,7 +189,7 @@ func (c *Client) doHedged(req *Request) (*Response, error) {
 			h.ID += "~h"
 		}
 		go func() {
-			resp, err := c.post(&h)
+			resp, err := c.tr.RoundTrip(&h)
 			ch <- result{resp, err}
 		}()
 		launched = 2
@@ -218,35 +207,52 @@ func (c *Client) doHedged(req *Request) (*Response, error) {
 	return first.resp, first.err
 }
 
+// Stats fetches the gateway's stats snapshot.
+func (c *Client) Stats() (*Stats, error) { return c.tr.Stats() }
+
+// Healthy reports whether the gateway answers its health check.
+func (c *Client) Healthy() bool { return c.tr.Healthy() }
+
+// httpTransport is the HTTP+JSON Transport: POST /v1/offload, GET /stats
+// and GET /healthz.
+type httpTransport struct {
+	base string
+	http *http.Client
+}
+
+func newHTTPTransport(addr string) *httpTransport {
+	base := addr
+	if !strings.Contains(base, "://") {
+		base = "http://" + base
+	}
+	return &httpTransport{
+		base: strings.TrimRight(base, "/"),
+		http: &http.Client{Timeout: 5 * time.Minute},
+	}
+}
+
 // framePool recycles the request-marshalling buffers across posts; load
 // generators issue tens of thousands of framed requests per run and the
 // encode buffer is the dominant client-side allocation.
 var framePool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// post performs one submission without retry or hedging, over the
-// explicit transport when one is installed and HTTP+JSON otherwise.
-func (c *Client) post(req *Request) (*Response, error) {
-	if c.tr != nil {
-		return c.tr.RoundTrip(req)
-	}
+// RoundTrip JSON-encodes req and posts it.
+func (t *httpTransport) RoundTrip(req *Request) (*Response, error) {
 	buf := framePool.Get().(*bytes.Buffer)
 	buf.Reset()
 	defer framePool.Put(buf)
 	if err := json.NewEncoder(buf).Encode(req); err != nil {
 		return nil, err
 	}
-	return c.postBytes(buf.Bytes())
+	return t.postBytes(buf.Bytes())
 }
 
 // postBytes submits an already-framed request body.  Attackers in the
 // load generator pre-marshal their ammunition once and fire it repeatedly
 // through this path — re-encoding a megabyte payload per shot would spend
 // the generator's CPU on the attacker's half of the work.
-func (c *Client) postBytes(body []byte) (*Response, error) {
-	if c.http == nil {
-		return nil, fmt.Errorf("serve: pre-framed bodies require the HTTP transport")
-	}
-	httpResp, err := c.http.Post(c.base+"/v1/offload", "application/json", bytes.NewReader(body))
+func (t *httpTransport) postBytes(body []byte) (*Response, error) {
+	httpResp, err := t.http.Post(t.base+"/v1/offload", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -258,12 +264,9 @@ func (c *Client) postBytes(body []byte) (*Response, error) {
 	return &resp, nil
 }
 
-// Stats fetches the gateway's /stats snapshot.
-func (c *Client) Stats() (*Stats, error) {
-	if c.tr != nil {
-		return c.tr.Stats()
-	}
-	httpResp, err := c.http.Get(c.base + "/stats")
+// Stats fetches /stats.
+func (t *httpTransport) Stats() (*Stats, error) {
+	httpResp, err := t.http.Get(t.base + "/stats")
 	if err != nil {
 		return nil, err
 	}
@@ -275,15 +278,15 @@ func (c *Client) Stats() (*Stats, error) {
 	return &s, nil
 }
 
-// Healthy reports whether /healthz answers "ok".
-func (c *Client) Healthy() bool {
-	if c.tr != nil {
-		return c.tr.Healthy()
-	}
-	resp, err := c.http.Get(c.base + "/healthz")
+// Healthy reports whether /healthz answers 200.
+func (t *httpTransport) Healthy() bool {
+	resp, err := t.http.Get(t.base + "/healthz")
 	if err != nil {
 		return false
 	}
 	defer resp.Body.Close()
 	return resp.StatusCode == http.StatusOK
 }
+
+// Close is a no-op: connections live in net/http's shared default pool.
+func (t *httpTransport) Close() error { return nil }

@@ -123,34 +123,41 @@ func TestNoHeadOfLineBlockingWhileIdle(t *testing.T) {
 	}
 }
 
-// TestWorkStealing forces the legacy round-robin policy so record ops
-// land behind a held transaction, and expects the idle shard to steal
-// them; the steal counters must agree between the gateway-wide total and
-// the per-op breakdown.
+// TestWorkStealing queues record ops directly behind a held transaction
+// and expects the idle shard to steal them; the steal counters must agree
+// between the gateway-wide total and the per-op breakdown.
 func TestWorkStealing(t *testing.T) {
-	gw := testGateway(t, Config{Shards: 2, Dispatch: DispatchRR, BatchMax: 1, Seed: 33})
+	gw := testGateway(t, Config{Shards: 2, BatchMax: 1, Seed: 33})
 	release, done := holdSSL(t, gw, 128<<10)
+	var held *shard
+	for _, sh := range gw.shards {
+		if sh.cost.Load() > 0 {
+			held = sh
+		}
+	}
+	if held == nil {
+		t.Fatal("no shard holds the transaction")
+	}
 
 	const n = 8
-	var wg sync.WaitGroup
-	stolen := 0
-	var mu sync.Mutex
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp := gw.Submit(&Request{Op: OpRecord, Payload: []byte(fmt.Sprintf("steal %d", i))})
-			if resp.Status != StatusOK {
-				t.Errorf("record %d: %s (%s)", i, resp.Status, resp.Error)
-			}
-			if resp.Stolen {
-				mu.Lock()
-				stolen++
-				mu.Unlock()
-			}
-		}(i)
+	tasks := make([]*task, n)
+	for i := range tasks {
+		req := &Request{Op: OpRecord, Payload: []byte(fmt.Sprintf("steal %d", i))}
+		tasks[i] = &task{req: req, enqueued: time.Now(), resp: make(chan *Response, 1)}
+		if !gw.enqueue(held, tasks[i]) {
+			t.Fatalf("record %d: held shard's queue is full", i)
+		}
 	}
-	wg.Wait()
+	stolen := 0
+	for i, tk := range tasks {
+		resp := <-tk.resp
+		if resp.Status != StatusOK {
+			t.Errorf("record %d: %s (%s)", i, resp.Status, resp.Error)
+		}
+		if resp.Stolen {
+			stolen++
+		}
+	}
 	release()
 	r := <-done
 	if r.Status != StatusOK {
@@ -225,12 +232,5 @@ func TestDispatchDeterministicSingleShard(t *testing.T) {
 			string(a[i].Digest) != string(b[i].Digest) || string(a[i].Result) != string(b[i].Result) {
 			t.Errorf("response %d diverged between identical seeded runs", i)
 		}
-	}
-}
-
-// TestDispatchConfigValidation rejects unknown policies.
-func TestDispatchConfigValidation(t *testing.T) {
-	if _, err := NewGateway(Config{Shards: 1, Dispatch: "fastest"}); err == nil {
-		t.Error("unknown dispatch policy accepted")
 	}
 }

@@ -18,21 +18,6 @@ import (
 	"wisp/internal/ssl"
 )
 
-// Dispatch policies.  The workload is pathologically heterogeneous (an
-// RSA private-key op costs ~5 orders of magnitude more than a
-// record-layer byte), so blind round-robin head-of-line-blocks cheap
-// record ops behind queued handshakes; cost-aware dispatch prices each
-// shard's backlog per op instead.
-const (
-	// DispatchCost is power-of-two-choices over estimated backlog cost
-	// (queued + in-service work, priced by per-op service EWMAs), with
-	// idle shards stealing queued work from loaded neighbors.
-	DispatchCost = "cost"
-	// DispatchRR is the legacy blind round-robin cursor, kept for A/B
-	// comparison (work stealing still applies).
-	DispatchRR = "rr"
-)
-
 // Config tunes the gateway.  The zero value selects serving defaults.
 type Config struct {
 	// Shards is the number of worker shards (simulated platform
@@ -68,26 +53,12 @@ type Config struct {
 	// Seed makes shard key material, nonces and dispatch sampling
 	// deterministic.  Default 1.
 	Seed int64
-	// RecordSize chunks OpSSL payloads into records.  Default 1024.
-	RecordSize int
-	// Dispatch selects the admission policy: DispatchCost (default) or
-	// DispatchRR.
-	Dispatch string
 	// SessionCap bounds the SSL session cache (master secrets resumable
 	// by abbreviated handshakes).  0 selects the default 4096; negative
 	// disables resumption entirely (every handshake is full).
 	SessionCap int
 	// SessionTTL expires cached sessions.  0 selects the default 10m.
 	SessionTTL time.Duration
-	// PrecomputeKeys bounds each shard's RSA precompute cache (reducer
-	// constants and CRT exponentiators per key fingerprint).  Default 64.
-	PrecomputeKeys int
-	// BaseCosts/OptCosts feed the analytic per-transaction estimates
-	// attached to SSL-shaped responses.  Defaults are the repo's measured
-	// platform costs (DefaultBaseCosts/DefaultOptCosts); wispd -measured
-	// re-derives them on the ISS at startup.
-	BaseCosts *ssl.Costs
-	OptCosts  *ssl.Costs
 
 	// PaceHz enables model-paced serving: after finishing an op whose
 	// response carries an optimized-platform cycle estimate, the shard
@@ -137,7 +108,8 @@ type Config struct {
 // DefaultBaseCosts and DefaultOptCosts are the baseline and optimized
 // platform cost models measured by Platform.SSLCosts at the default
 // configuration (RSA-1024, seed 1) — baked in so the gateway can price
-// transactions without re-running kernel characterization.
+// transactions without re-running kernel characterization.  A root-package
+// test pins them to a fresh Platform.SSLCosts run.
 var (
 	DefaultBaseCosts = ssl.Costs{
 		RSADecrypt:        9.7402912e7,
@@ -157,9 +129,17 @@ var (
 	}
 )
 
-// PlatformClockHz is the paper's 188 MHz target clock, used to convert
-// analytic cycle estimates into simulated-platform time.
-const PlatformClockHz = 188e6
+const (
+	// PlatformClockHz is the paper's 188 MHz target clock, used to convert
+	// analytic cycle estimates into simulated-platform time.
+	PlatformClockHz = 188e6
+	// defaultRecordSize chunks OpSSL payloads into records when the
+	// request names no record size.
+	defaultRecordSize = 1024
+	// precomputeKeys bounds each shard's RSA precompute cache (reducer
+	// constants and CRT exponentiators per key fingerprint).
+	precomputeKeys = 64
+)
 
 func (c Config) withDefaults() Config {
 	c.Shards = pool.Workers(c.Shards, 0)
@@ -181,26 +161,11 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.RecordSize <= 0 {
-		c.RecordSize = 1024
-	}
-	if c.Dispatch == "" {
-		c.Dispatch = DispatchCost
-	}
 	if c.SessionCap == 0 {
 		c.SessionCap = 4096
 	}
 	if c.SessionTTL == 0 {
 		c.SessionTTL = 10 * time.Minute
-	}
-	if c.PrecomputeKeys <= 0 {
-		c.PrecomputeKeys = 64
-	}
-	if c.BaseCosts == nil {
-		c.BaseCosts = &DefaultBaseCosts
-	}
-	if c.OptCosts == nil {
-		c.OptCosts = &DefaultOptCosts
 	}
 	if c.ClientRateUS > 0 {
 		if c.ClientBurstUS <= 0 {
@@ -242,9 +207,8 @@ type Gateway struct {
 	sessions *ssl.SessionCache // shared session store; nil when resumption is disabled
 	qos      *qos              // per-client isolation; nil when ClientRateUS == 0
 
-	next     atomic.Uint64 // round-robin shard cursor (DispatchRR)
 	rngMu    sync.Mutex
-	rng      *rand.Rand    // power-of-two-choices sampling (DispatchCost)
+	rng      *rand.Rand    // power-of-two-choices sampling
 	workHint chan struct{} // pings idle shards that queued work exists somewhere
 
 	draining   atomic.Bool
@@ -281,15 +245,6 @@ type Gateway struct {
 // and symmetric key schedule.
 func NewGateway(cfg Config) (*Gateway, error) {
 	c := cfg.withDefaults()
-	if c.Dispatch != DispatchCost && c.Dispatch != DispatchRR {
-		return nil, fmt.Errorf("serve: unknown dispatch policy %q (want %q or %q)", c.Dispatch, DispatchCost, DispatchRR)
-	}
-	if err := c.BaseCosts.Validate(); err != nil {
-		return nil, fmt.Errorf("serve: base costs: %w", err)
-	}
-	if err := c.OptCosts.Validate(); err != nil {
-		return nil, fmt.Errorf("serve: optimized costs: %w", err)
-	}
 	rng := rand.New(rand.NewSource(c.Seed))
 	key, err := rsakey.GenerateKey(rng, c.RSABits)
 	if err != nil {
@@ -368,7 +323,6 @@ func (g *Gateway) ReplicaLookup(id []byte) ([]byte, bool) {
 // dispatch policy's live queue-cost and per-op pricing gauges.
 func (g *Gateway) Stats() Stats {
 	s := g.metrics.Snapshot(g.cfg.QueueDepth)
-	s.Dispatch = g.cfg.Dispatch
 	s.QueueCostUS = make([]int64, len(g.shards))
 	for i, sh := range g.shards {
 		s.QueueCostUS[i] = sh.cost.Load()
@@ -682,19 +636,15 @@ func (g *Gateway) dispatch(req *Request, om *opMetrics, now time.Time) *Response
 	return resp
 }
 
-// pick chooses the admission shard.  DispatchCost samples two distinct
-// shards and takes the one with the cheaper estimated backlog
+// pick chooses the admission shard.  It samples two distinct shards
+// and takes the one with the cheaper estimated backlog
 // (power-of-two-choices); the bool reports whether the choice differs
-// from the first-sampled candidate (a redirect).  DispatchRR is the
-// legacy blind cursor.  With one shard both policies are the identity,
-// so `-seed` runs at workers=1 stay fully deterministic.
+// from the first-sampled candidate (a redirect).  With one shard it is
+// the identity, so `-seed` runs at workers=1 stay fully deterministic.
 func (g *Gateway) pick(op Op) (*shard, bool) {
 	n := len(g.shards)
 	if n == 1 {
 		return g.shards[0], false
-	}
-	if g.cfg.Dispatch == DispatchRR {
-		return g.shards[g.next.Add(1)%uint64(n)], false
 	}
 	g.rngMu.Lock()
 	i := g.rng.Intn(n)
@@ -785,7 +735,7 @@ func (g *Gateway) hintWork() {
 
 // noteShedWhileIdle counts sheds issued while some shard had an empty
 // backlog — the head-of-line signature cost-aware dispatch exists to
-// eliminate.  It should stay zero under DispatchCost.
+// eliminate.  It should stay zero.
 func (g *Gateway) noteShedWhileIdle() {
 	for _, sh := range g.shards {
 		if sh.cost.Load() == 0 {
@@ -829,7 +779,7 @@ func (g *Gateway) Drain(ctx context.Context) error {
 // estTransaction prices one SSL transaction of n payload bytes under both
 // cost models.
 func (g *Gateway) estTransaction(n int) (base, opt float64) {
-	return g.cfg.BaseCosts.Transaction(n).Total(), g.cfg.OptCosts.Transaction(n).Total()
+	return DefaultBaseCosts.Transaction(n).Total(), DefaultOptCosts.Transaction(n).Total()
 }
 
 // estRecord prices n record-layer bytes (no handshake) under both models.
@@ -837,25 +787,25 @@ func (g *Gateway) estRecord(n int) (base, opt float64) {
 	f := func(c *ssl.Costs) float64 {
 		return (c.CipherPerByte + c.MACPerByte + c.RecordMiscPerByte) * float64(n)
 	}
-	return f(g.cfg.BaseCosts), f(g.cfg.OptCosts)
+	return f(&DefaultBaseCosts), f(&DefaultOptCosts)
 }
 
 // estHandshake prices the handshake alone under both models.
 func (g *Gateway) estHandshake() (base, opt float64) {
 	f := func(c *ssl.Costs) float64 { return c.RSADecrypt + c.RSAPublic + c.HandshakeMisc }
-	return f(g.cfg.BaseCosts), f(g.cfg.OptCosts)
+	return f(&DefaultBaseCosts), f(&DefaultOptCosts)
 }
 
 // estTransactionResumed prices one resumed SSL transaction (abbreviated
 // handshake: no RSA work, scaled misc) under both cost models.
 func (g *Gateway) estTransactionResumed(n int) (base, opt float64) {
-	return g.cfg.BaseCosts.ResumedTransaction(n).Total(), g.cfg.OptCosts.ResumedTransaction(n).Total()
+	return DefaultBaseCosts.ResumedTransaction(n).Total(), DefaultOptCosts.ResumedTransaction(n).Total()
 }
 
 // estHandshakeResumed prices the abbreviated handshake alone.
 func (g *Gateway) estHandshakeResumed() (base, opt float64) {
 	f := func(c *ssl.Costs) float64 { return ssl.ResumedHandshakeMiscScale * c.HandshakeMisc }
-	return f(g.cfg.BaseCosts), f(g.cfg.OptCosts)
+	return f(&DefaultBaseCosts), f(&DefaultOptCosts)
 }
 
 // opPrior is the per-op service-time prior (µs) before a shard has

@@ -482,21 +482,22 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 			}
 		}(i)
 	}
-	// Attackers run alongside the legit clients on a plain client (no
-	// retry policy: an attacker resubmitting its own throttled requests
-	// politely is not the adversary we are modeling) and keep firing until
+	// Attackers run alongside the legit clients straight on the HTTP
+	// transport (no retry policy: an attacker resubmitting its own
+	// throttled requests politely is not the adversary we are modeling;
+	// the oversize profile posts pre-framed bodies) and keep firing until
 	// the last legit request completes — an attack that burns out in the
 	// opening seconds would only contaminate the head of the measurement,
 	// and the fairness bound is about sustained pressure.
 	var attackWG sync.WaitGroup
 	attackDone := make(chan struct{})
 	if nAttack > 0 {
-		attackClient := NewClient(c.Addr)
+		attackTr := newHTTPTransport(c.Addr)
 		for j := 0; j < nAttack; j++ {
 			attackWG.Add(1)
 			go func(j int) {
 				defer attackWG.Done()
-				runAttacker(c, c.Attack[j%len(c.Attack)], j, attackClient, &results[c.Clients+j], attackDone)
+				runAttacker(c, c.Attack[j%len(c.Attack)], j, attackTr, &results[c.Clients+j], attackDone)
 			}(j)
 		}
 	}

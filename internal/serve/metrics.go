@@ -208,7 +208,6 @@ type OpStats struct {
 type Stats struct {
 	UptimeSeconds  float64            `json:"uptime_seconds"`
 	Shards         int                `json:"shards"`
-	Dispatch       string             `json:"dispatch,omitempty"`
 	QueueCap       int                `json:"queue_cap"`
 	QueueDepth     []int64            `json:"queue_depth"`
 	QueueCostUS    []int64            `json:"queue_cost_us,omitempty"`
@@ -387,9 +386,6 @@ func (s Stats) Text() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "wispd_uptime_seconds %.3f\n", s.UptimeSeconds)
 	fmt.Fprintf(&b, "wispd_shards %d\n", s.Shards)
-	if s.Dispatch != "" {
-		fmt.Fprintf(&b, "wispd_dispatch{policy=%q} 1\n", s.Dispatch)
-	}
 	fmt.Fprintf(&b, "wispd_queue_cap %d\n", s.QueueCap)
 	for i, d := range s.QueueDepth {
 		fmt.Fprintf(&b, "wispd_queue_depth{shard=\"%d\"} %d\n", i, d)

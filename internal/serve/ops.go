@@ -41,7 +41,7 @@ type shardEnv struct {
 }
 
 func newShardEnv(s *shard) (*shardEnv, error) {
-	e := &shardEnv{engine: rsakey.DefaultEngine(s.ctx, s.g.cfg.PrecomputeKeys, 0)}
+	e := &shardEnv{engine: rsakey.DefaultEngine(s.ctx, precomputeKeys, 0)}
 	if s.g.sessions != nil {
 		e.sessions = s.g.sessions.WithDecrypt(func(key *rsakey.PrivateKey, wrapped []byte) ([]byte, error) {
 			return e.engine.PadDecrypt(key, wrapped)
@@ -164,8 +164,8 @@ func (s *shard) run(req *Request, resp *Response) error {
 			return fmt.Errorf("rsa round trip corrupted digest")
 		}
 		resp.Result = wrapped
-		resp.EstBaseCycles = s.g.cfg.BaseCosts.RSADecrypt
-		resp.EstOptCycles = s.g.cfg.OptCosts.RSADecrypt
+		resp.EstBaseCycles = DefaultBaseCosts.RSADecrypt
+		resp.EstOptCycles = DefaultOptCosts.RSADecrypt
 
 	case OpRSAEncrypt:
 		wrapped, err := s.env.engine.PadEncrypt(s.rng, &s.g.key.PublicKey, resp.Digest)
@@ -173,8 +173,8 @@ func (s *shard) run(req *Request, resp *Response) error {
 			return err
 		}
 		resp.Result = wrapped
-		resp.EstBaseCycles = s.g.cfg.BaseCosts.RSAPublic
-		resp.EstOptCycles = s.g.cfg.OptCosts.RSAPublic
+		resp.EstBaseCycles = DefaultBaseCosts.RSAPublic
+		resp.EstOptCycles = DefaultOptCosts.RSAPublic
 
 	case OpAES:
 		return s.runCBC(req, resp, aescipher.BlockSize, func(key []byte) (blockmode.Block, []byte, error) {
@@ -198,8 +198,8 @@ func (s *shard) run(req *Request, resp *Response) error {
 		if err != nil {
 			return err
 		}
-		resp.EstBaseCycles = s.g.cfg.BaseCosts.CipherPerByte * float64(len(req.Payload))
-		resp.EstOptCycles = s.g.cfg.OptCosts.CipherPerByte * float64(len(req.Payload))
+		resp.EstBaseCycles = DefaultBaseCosts.CipherPerByte * float64(len(req.Payload))
+		resp.EstOptCycles = DefaultOptCosts.CipherPerByte * float64(len(req.Payload))
 
 	case OpMD5:
 		resp.Result = append(resp.Result[:0], resp.Digest...)
@@ -252,7 +252,7 @@ func (s *shard) runSSL(req *Request, resp *Response, handshakeOnly bool) error {
 	}
 	rs := req.RecordSize
 	if rs <= 0 {
-		rs = s.g.cfg.RecordSize
+		rs = defaultRecordSize
 	}
 	recovered := bufpool.Get(len(req.Payload))[:0]
 	defer func() { bufpool.Put(recovered) }()

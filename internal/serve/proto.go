@@ -102,8 +102,7 @@ type Request struct {
 	Payload []byte `json:"payload,omitempty"`
 	// Key optionally overrides the shard's symmetric/HMAC key material.
 	Key []byte `json:"key,omitempty"`
-	// RecordSize chunks OpSSL payloads into records (default: the
-	// gateway's configured record size).
+	// RecordSize chunks OpSSL payloads into records (default 1024).
 	RecordSize int `json:"record_size,omitempty"`
 	// DeadlineUS is a relative latency budget in microseconds.  Zero means
 	// no deadline.  Requests whose budget is already spent when a shard

@@ -79,14 +79,14 @@ run_mix() {
 }
 
 # ---- Run A: static, mis-sized for the decrypt burst ----
-boot_wispd wispd_static.log -shards 1 -dispatch cost -seed 1 -batch-width 1 \
+boot_wispd wispd_static.log -shards 1 -seed 1 -batch-width 1 \
     -rsabits 1024 -metrics
 echo "serve-adapt: static width-1 run on $ADDR"
 run_mix load_static.log bench_static.json
 drain_wispd wispd_static.log
 
 # ---- Run B: same daemon shape, governed ----
-boot_wispd wispd_gov.log -shards 1 -dispatch cost -seed 1 -batch-width 1 \
+boot_wispd wispd_gov.log -shards 1 -seed 1 -batch-width 1 \
     -rsabits 1024 -govern -govern-tick 25ms -metrics
 echo "serve-adapt: governed run on $ADDR (tick 25ms)"
 run_mix load_gov.log bench_gov.json

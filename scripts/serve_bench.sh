@@ -67,7 +67,7 @@ drain_wispd() {
 }
 
 # ---- Phase 1: heterogeneous mix, dispatch invariants ----
-boot_wispd wispd.log -shards 4 -dispatch cost -metrics
+boot_wispd wispd.log -shards 4 -metrics
 echo "serve-bench: wispd on $ADDR (4 shards, cost dispatch)"
 
 # Heterogeneous mix: full SSL transactions (one RSA private-key op each)
@@ -97,13 +97,13 @@ echo "serve-bench: phase 1 ok"
 # Same seed, same load shape; only the resume ratio differs.  Handshake
 # ops isolate the path resumption amortizes (one RSA private-key op per
 # full handshake, none per abbreviated one).
-boot_wispd wispd_off.log -shards 4 -dispatch cost -seed 1 -metrics
+boot_wispd wispd_off.log -shards 4 -seed 1 -metrics
 echo "serve-bench: resume-off run on $ADDR"
 "$BIN/wispload" -addr "$ADDR" -clients 6 -n 30 -ops handshake -mix 1k \
     -resume-ratio 0 -seed 2 -bench-out "$TMP/bench_off.json" >"$TMP/load_off.log"
 drain_wispd wispd_off.log
 
-boot_wispd wispd_on.log -shards 4 -dispatch cost -seed 1 -metrics
+boot_wispd wispd_on.log -shards 4 -seed 1 -metrics
 echo "serve-bench: resume-on run on $ADDR (ratio 0.9)"
 "$BIN/wispload" -addr "$ADDR" -clients 6 -n 30 -ops handshake -mix 1k \
     -resume-ratio 0.9 -seed 2 -bench-out "$TMP/bench_on.json" >"$TMP/load_on.log"
@@ -119,13 +119,13 @@ echo "serve-bench: phase 2 ok"
 # ---- Phase 3: batched-RSA A/B on a private-key-op burst ----
 # One shard so concurrent decrypts queue into same-op groups; only the
 # batch width differs between the runs.
-boot_wispd wispd_bw1.log -shards 1 -dispatch cost -seed 1 -batch-width 1 -batch-gather-us 3000 -metrics
+boot_wispd wispd_bw1.log -shards 1 -seed 1 -batch-width 1 -batch-gather-us 3000 -metrics
 echo "serve-bench: batch-width-1 (scalar) run on $ADDR"
 "$BIN/wispload" -addr "$ADDR" -clients 8 -n 40 -ops rsa-decrypt -mix 1k \
     -seed 3 -bench-out "$TMP/bench_bw1.json" >"$TMP/load_bw1.log"
 drain_wispd wispd_bw1.log
 
-boot_wispd wispd_bw4.log -shards 1 -dispatch cost -seed 1 -batch-width 4 -batch-gather-us 3000 -metrics
+boot_wispd wispd_bw4.log -shards 1 -seed 1 -batch-width 4 -batch-gather-us 3000 -metrics
 echo "serve-bench: batch-width-4 (lockstep) run on $ADDR"
 "$BIN/wispload" -addr "$ADDR" -clients 8 -n 40 -ops rsa-decrypt -mix 1k \
     -seed 3 -bench-out "$TMP/bench_bw4.json" >"$TMP/load_bw4.log"

@@ -277,11 +277,11 @@ KILL_ARGS="-proto wire -clients 16 -n 36 -ops handshake -mix 1k -resume-ratio 1 
 run_kill_leg() {
     leg="$1" report="$2" peered="$3"
     if [ "$peered" = "peered" ]; then
-        boot_node 1 "node_d1_$leg.log" -shards 1 -seed 1 -replica-r 2 \
+        boot_node 1 "node_d1_$leg.log" -shards 1 -seed 1 \
             -peers "@$TMP/wire2,@$TMP/wire3"
-        boot_node 2 "node_d2_$leg.log" -shards 1 -seed 2 -replica-r 2 \
+        boot_node 2 "node_d2_$leg.log" -shards 1 -seed 2 \
             -peers "@$TMP/wire1,@$TMP/wire3"
-        boot_node 3 "node_d3_$leg.log" -shards 1 -seed 3 -replica-r 2 \
+        boot_node 3 "node_d3_$leg.log" -shards 1 -seed 3 \
             -peers "@$TMP/wire1,@$TMP/wire2"
     else
         boot_node 1 "node_d1_$leg.log" -shards 1 -seed 1

@@ -9,12 +9,13 @@ import (
 
 // TestSmokeCommands builds every cmd/ main and runs it with -h: the flag
 // package prints usage and exits 0, proving each binary links, parses its
-// flag set and reaches main without side effects.
+// flag set and reaches main without side effects.  benchprims is left
+// out: it defines no flags, so -h would run its whole timing gate.
 func TestSmokeCommands(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
-	bins := []string{"wispd", "wispexplore", "wispgap", "wispload", "wispselect", "wispsim", "wispssl"}
+	bins := []string{"benchcmp", "wispd", "wispexplore", "wispgap", "wispgw", "wispload", "wispselect", "wispsim", "wispssl"}
 	dir := t.TempDir()
 	for _, name := range bins {
 		out := filepath.Join(dir, name)
